@@ -11,31 +11,32 @@ complement of the C-block,
 
 which equals the noise PSD sigma(w) exactly when C is ancestral and covers
 i's parents, and exceeds it by at least the deficit when a parent is
-missing. `cpsd_deficit` computes that margin by brute-force enumeration on
-the population PSDM; it is what calibrates the parent-identification
-threshold (see `default_gamma`).
+missing. `cpsd_deficit` computes that margin on the population PSDM; since
+f never grows as C grows, it needs only the largest qualifying set per
+edge. It is what calibrates the parent-identification threshold (see
+`default_gamma`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graphs import is_ancestral, structural_queries
+from .graphs import structural_queries
 from .linalg import hermitian_solve, require_hermitian
 from .models import LdsModel, exact_psdm
 from .simulate import TrajectorySet, iter_trajectory_blocks
 
-# Tolerances on f values: imaginary residue above IMAG_TOL raises; real
-# values in [-NEG_TOL, 0) are clamped to 0 (sampling noise), below raises.
+# Tolerances on f values, relative to the PSDM scale trace(Phi)/p: imaginary
+# residue above IMAG_TOL raises; real values in [-NEG_TOL, 0) are clamped
+# to 0 (sampling noise), below raises.
 IMAG_TOL = 1e-9
 NEG_TOL = 1e-9
 
-# Subset enumeration guard for the deficit: 2^p blowup beyond this.
+# Guards nothing since the deficit is closed-form; read only by the benchmark.
 DEFICIT_MAX_P = 14
 
 GAMMA_FLOOR = 1e-9
@@ -117,17 +118,18 @@ def sample_psdm(
     )
 
 
-def _finalize_f(raw, node, cond, omega, ridged) -> CpsdValue:
-    if abs(complex(raw).imag) > IMAG_TOL:
+def _finalize_f(raw, node, cond, omega, ridged, scale) -> CpsdValue:
+    if abs(complex(raw).imag) > IMAG_TOL * scale:
         raise NumericalError(
             f"conditional PSD f({node},{sorted(cond)}) is non-real: imag={complex(raw).imag:.3e}"
         )
     value = complex(raw).real
     clamped = False
     if value < 0.0:
-        if value < -NEG_TOL:
+        if value < -NEG_TOL * scale:
             raise NumericalError(
-                f"conditional PSD f({node},{sorted(cond)}) = {value:.3e} below -{NEG_TOL}"
+                f"conditional PSD f({node},{sorted(cond)}) = {value:.3e} "
+                f"below -{NEG_TOL} * {scale:.3e}"
             )
         value, clamped = 0.0, True
     return CpsdValue(
@@ -145,7 +147,9 @@ def cpsd_f(psdm, i: int, cond, omega: float) -> CpsdValue:
 
     psdm may be a PsdmEstimate or a bare Hermitian matrix. The Schur
     complement is evaluated through `hermitian_solve`, so a rank-deficient
-    conditioning block gets the ridge rescue (flagged on the result).
+    conditioning block gets the ridge rescue (flagged on the result). The
+    realness and sign tolerances scale with trace(psdm)/p, so the result
+    does not depend on the unit of the data.
     """
     matrix = psdm.matrix if isinstance(psdm, PsdmEstimate) else np.asarray(psdm, dtype=complex)
     p = matrix.shape[0]
@@ -157,104 +161,61 @@ def cpsd_f(psdm, i: int, cond, omega: float) -> CpsdValue:
         raise ConfigError(f"conditioning set {sorted(cond)} out of range for p={p}")
     if i in cond:
         raise ConfigError(f"node {i} may not appear in its own conditioning set")
+    scale = np.trace(matrix).real / p
     if not cond:
-        return _finalize_f(matrix[i, i], i, cond, omega, ridged=False)
+        return _finalize_f(matrix[i, i], i, cond, omega, ridged=False, scale=scale)
     idx = sorted(cond)
     a = matrix[np.ix_(idx, idx)]
     b = matrix[idx, i]
     sol, ridged = hermitian_solve(a, b, with_flag=True)
     raw = matrix[i, i] - np.vdot(b, sol)
-    return _finalize_f(raw, i, cond, omega, ridged=ridged)
-
-
-def _qualifying_pairs(dag, ancestral_only: bool):
-    """All (j, C) with C a subset of nd(j) missing at least one parent of j."""
-    pairs = []
-    for j in range(dag.p):
-        q = structural_queries(dag, j)
-        if not q.parents:
-            continue
-        nd = sorted(q.non_descendants)
-        for r in range(len(nd) + 1):
-            for c in combinations(nd, r):
-                if not (q.parents - set(c)):
-                    continue
-                if ancestral_only and not is_ancestral(dag, c):
-                    continue
-                pairs.append((j, c))
-    return pairs
+    return _finalize_f(raw, i, cond, omega, ridged=ridged, scale=scale)
 
 
 def cpsd_deficit(model: LdsModel, omega_grid, *, ancestral_only: bool = False) -> float:
     """min over (grid omega, node j, qualifying C) of f(j,C,omega) - sigma(omega).
 
-    Brute force on the population PSDM, batched per conditioning-set size:
-    all subsets of a given size are solved in one vectorized call across the
-    whole grid. Guarded at p <= 14; an edgeless model has an empty
-    minimization domain and is rejected.
+    A qualifying C is a subset of nd(j) that misses at least one parent k
+    of j. f never grows as C grows, so for each parent k the minimum over
+    the sets that miss k is reached at the largest one, nd(j) minus {k}:
+    one Schur complement per edge and frequency, on the population PSDM.
+    An edgeless model has an empty minimization domain and is rejected.
 
-    With ``ancestral_only=True`` the enumeration keeps only ancestral
-    conditioning sets. That restricted minimum provably stays at or above
+    With ``ancestral_only=True`` only ancestral conditioning sets count.
+    An ancestral set that holds a descendant of k also holds k, so the
+    largest ancestral subset of nd(j) that misses k is nd(j) & nd(k),
+    itself ancestral. That restricted minimum provably stays at or above
     beta^2 * sigma(omega); the unrestricted one (the default, which is what
     threshold calibration needs, since the ordering search scans
     non-ancestral subsets too) is positive but can drop below that bound.
     """
-    p = model.p
-    if p > DEFICIT_MAX_P:
-        raise ConfigError(
-            f"deficit enumeration is limited to p <= {DEFICIT_MAX_P}, got p={p}"
-        )
-    pairs = _qualifying_pairs(model.dag, ancestral_only)
-    if not pairs:
+    dag = model.dag
+    if not dag.edges:
         raise ConfigError("deficit undefined: model has no edges")
-    grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    phis = np.stack([exact_psdm(model, w) for w in grid])
-    sigma = np.atleast_1d(model.noise.psd(grid))
-    diag = phis[:, np.arange(p), np.arange(p)].real
-
-    by_size: dict[int, tuple[list, list]] = {}
-    for j, c in pairs:
-        js, cs = by_size.setdefault(len(c), ([], []))
-        js.append(j)
-        cs.append(c)
-
+    nd = [structural_queries(dag, v).non_descendants for v in range(model.p)]
+    conds = [
+        (j, nd[j] & nd[k] if ancestral_only else nd[j] - {k}) for k, j in dag.edges
+    ]
     best = np.inf
-    for size, (js, cs) in by_size.items():
-        j_arr = np.asarray(js)
-        if size == 0:
-            f = diag[:, j_arr]
-        else:
-            s_arr = np.asarray(cs)
-            a = phis[:, s_arr[:, :, None], s_arr[:, None, :]]
-            b = phis[:, s_arr, j_arr[:, None]]
-            try:
-                sol = np.linalg.solve(a, b[..., None])[..., 0]
-                f = diag[:, j_arr] - np.einsum("wmk,wmk->wm", np.conj(b), sol).real
-                if not np.all(np.isfinite(f)):
-                    raise np.linalg.LinAlgError("non-finite batched solve")
-            except np.linalg.LinAlgError:
-                f = np.array(
-                    [
-                        [cpsd_f(phis[w], j, c, grid[w]).value for j, c in zip(js, cs)]
-                        for w in range(len(grid))
-                    ]
-                )
-        best = min(best, float(np.min(f - sigma[:, None])))
+    for w in np.atleast_1d(np.asarray(omega_grid, dtype=float)):
+        phi = exact_psdm(model, w)
+        f_min = min(cpsd_f(phi, j, c, w).value for j, c in conds)
+        best = min(best, f_min - float(model.noise.psd(w)))
     return best
 
 
 def default_gamma(model: LdsModel, omega_grid) -> float:
     """Parent-identification threshold: half the deficit.
 
-    Falls back to half the provable deficit floor beta^2 * sigma_min when
-    enumeration is infeasible (p > 14) or degenerate (no edges), floored at
-    a small positive value so the threshold is always usable.
+    The deficit is the smallest score drop a true parent produces on the
+    population PSDM (see `cpsd_deficit`), so half of it separates true
+    parents from non-parents with margin on both sides. An edgeless model
+    has no deficit and gets the small positive floor, so the threshold is
+    always usable.
     """
-    grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if model.dag.edges and model.p <= DEFICIT_MAX_P:
-        return 0.5 * cpsd_deficit(model, grid)
-    sigma_min = float(np.min(model.noise.psd(grid)))
-    return max(0.5 * model.constants.beta**2 * sigma_min, GAMMA_FLOOR)
+    if not model.dag.edges:
+        return GAMMA_FLOOR
+    return 0.5 * cpsd_deficit(model, omega_grid)
 
 
 def save_psdm(est: PsdmEstimate, path) -> None:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 from .models import LdsModel, NoiseSpec, model_hash
@@ -104,6 +103,8 @@ def _rr_noise_block(noise: NoiseSpec, p: int, rng, rows: int, length: int) -> np
     sd = np.sqrt(noise.sigma_w)
     if noise.kind == "iid":
         return sd * rng.standard_normal((rows, length, p))
+    from scipy.signal import lfilter  # deferred: the import costs over a second
+
     z = rng.standard_normal((rows, length + 1, p))
     e_init = _stationary_sd(noise) * z[:, 0, :]
     w = sd * z[:, 1:, :]
@@ -126,6 +127,8 @@ class _NoiseStream:
         sd = np.sqrt(self._noise.sigma_w)
         if self._noise.kind == "iid":
             return sd * self._rng.standard_normal((length, self._p))
+        from scipy.signal import lfilter  # deferred: the import costs over a second
+
         if self._zi is None:
             e_init = _stationary_sd(self._noise) * self._rng.standard_normal(self._p)
             self._zi = (self._noise.alpha * e_init)[None, :]

@@ -2,7 +2,7 @@
 
 Oracles: explicit inverse-based Schur complements, closed forms for the
 two-node chain, and a brute-force deficit enumeration over itertools
-subsets. The batched implementations must match these.
+subsets. The closed-form deficit must match these.
 """
 
 import hashlib
@@ -56,6 +56,16 @@ def schur_oracle(matrix, i, cond):
     b = matrix[idx, i]
     val = matrix[i, i] - np.conj(b) @ np.linalg.inv(a) @ b
     return val.real
+
+
+# Deficit-oracle inputs: p from 4 to 8, each with both noise kinds.
+ORACLE_MODELS = [
+    build_model(random_dag(4, 2, seed=1200 + k), IID if k % 2 else AR1, seed=1300 + k)
+    for k in range(8)
+] + [build_model(random_dag(5, 2, seed=1390), AR1, seed=1391)] + [
+    build_model(random_dag(5 + k // 2, 2, seed=1210 + k), IID if k % 2 else AR1, seed=1310 + k)
+    for k in range(8)
+]
 
 
 def deficit_oracle(model, grid, ancestral_only=False):
@@ -228,10 +238,8 @@ class TestDeficit:
         assert got == pytest.approx(IID.sigma_w * b**2, abs=1e-12)
 
     def test_matches_enumeration_oracle(self):
-        for k in range(8):
-            noise = IID if k % 2 else AR1
-            model = build_model(random_dag(4, 2, seed=1200 + k), noise, seed=1300 + k)
-            grid = GRID8[::2]
+        grid = GRID8[::2]
+        for model in ORACLE_MODELS:
             assert cpsd_deficit(model, grid) == pytest.approx(
                 deficit_oracle(model, grid), abs=1e-10
             )
@@ -258,19 +266,16 @@ class TestDeficit:
             assert delta_anc >= model.constants.beta**2 * sigma_min - 1e-9
 
     def test_ancestral_flag_matches_oracle(self):
-        model = build_model(random_dag(5, 2, seed=1390), AR1, seed=1391)
         grid = GRID8[::2]
-        got = cpsd_deficit(model, grid, ancestral_only=True)
-        assert got == pytest.approx(deficit_oracle(model, grid, ancestral_only=True), abs=1e-10)
+        for model in ORACLE_MODELS:
+            got = cpsd_deficit(model, grid, ancestral_only=True)
+            assert got == pytest.approx(
+                deficit_oracle(model, grid, ancestral_only=True), abs=1e-10
+            )
 
     def test_edgeless_model_rejected(self):
         model = build_model(Dag(p=3, edges=frozenset(), order=(0, 1, 2)), IID, seed=1)
         with pytest.raises(ConfigError, match="deficit undefined"):
-            cpsd_deficit(model, GRID8)
-
-    def test_enumeration_guard(self):
-        model = build_model(random_dag(15, 2, seed=2), IID, seed=2)
-        with pytest.raises(ConfigError):
             cpsd_deficit(model, GRID8)
 
 
@@ -282,11 +287,18 @@ class TestDefaultGamma:
             0.5 * IID.sigma_w * b**2, abs=1e-12
         )
 
-    def test_bound_fallback_for_large_p(self):
-        model = build_model(random_dag(15, 2, seed=2), AR1, seed=2)
-        sigma_min = float(np.min(AR1.psd(GRID8)))
-        expected = max(model.constants.beta**2 * sigma_min / 2, 1e-9)
-        assert default_gamma(model, GRID8) == pytest.approx(expected, rel=1e-12)
+    def test_half_deficit_for_large_p(self):
+        # beyond the reach of brute-force enumeration: half of min over
+        # (w, j, k in pa(j)) of f(j, nd(j) - {k}) - sigma, by explicit inverse
+        for p in (15, 20):
+            model = build_model(random_dag(p, 2, seed=2), AR1, seed=2)
+            best = np.inf
+            for w in GRID8:
+                phi = exact_psdm(model, w)
+                for k, j in model.dag.edges:
+                    nd = structural_queries(model.dag, j).non_descendants
+                    best = min(best, schur_oracle(phi, j, nd - {k}) - float(AR1.psd(w)))
+            assert default_gamma(model, GRID8) == pytest.approx(0.5 * best, rel=1e-9)
 
     def test_edgeless_floor(self):
         model = build_model(Dag(p=2, edges=frozenset(), order=(0, 1)), IID, seed=3)

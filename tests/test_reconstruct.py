@@ -11,7 +11,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from spectradag.cpsd import cpsd_deficit, cpsd_f, default_gamma, estimate_psdm
+from spectradag.cpsd import cpsd_deficit, cpsd_f, default_gamma, estimate_psdm, sample_psdm
 from spectradag.errors import ConfigError
 from spectradag.graphs import (
     Dag,
@@ -253,6 +253,17 @@ class TestReconstruct:
                 ftrue = cpsd_f(phi, node, cond, w).value
                 assert abs(fhat - ftrue) < delta / 4
             assert graph_equal(result.graph, model.dag)
+
+    def test_large_scale_sample_recovery(self):
+        # f tolerances are relative to the PSDM scale: at sigma_w = 1e10 the
+        # rounding residue of f is far above any absolute tolerance
+        noise = NoiseSpec("iid", sigma_w=1e10)
+        w = 2 * np.pi * 17 / 64
+        for seed in range(5):
+            model = build_model(random_dag(10, 2, seed=seed), noise, seed=seed)
+            est = sample_psdm(model, "restart_record", 4000, 64, w, seed=seed)
+            params = ReconstructionParams(q=2, gamma=default_gamma(model, [w]), omega=w)
+            assert graph_equal(reconstruct(est, params).graph, model.dag)
 
     def test_estimate_input_is_wellformed_even_at_tiny_n(self):
         model = build_model(random_dag(6, 2, seed=43), AR1, seed=43)
