@@ -28,15 +28,9 @@ from .experiments import (
 )
 from .graphs import dag_to_edgelist, random_dag
 from .models import NoiseSpec, build_model, model_from_json, model_to_json
-from .reconstruct import (
-    PARENT_MODES,
-    SEARCH_MODES,
-    ReconstructionParams,
-    audit_json,
-    reconstruct,
-)
+from .reconstruct import SEARCH_MODES, ReconstructionParams, audit_json, reconstruct
 from .seeding import NOISE_CODES, STREAM_MODEL, seed_path
-from .simulate import METHODS, STRATEGIES, load_trajectories, save_trajectories, simulate
+from .simulate import STRATEGIES, load_trajectories, save_trajectories, simulate
 
 _BOUND_INPUT_KEYS = (
     "p",
@@ -115,15 +109,7 @@ def _cmd_gen(args) -> None:
 
 def _cmd_simulate(args) -> None:
     model = model_from_json(Path(args.model).read_text())
-    traj = simulate(
-        model,
-        args.strategy,
-        args.n,
-        args.num_samples,
-        seed=args.seed,
-        method=args.method,
-        burn_in=args.burn_in,
-    )
+    traj = simulate(model, args.strategy, args.n, args.num_samples, seed=args.seed)
     save_trajectories(traj, args.out_dir, model=model)
 
 
@@ -143,9 +129,7 @@ def _cmd_reconstruct(args) -> None:
     else:
         traj, _ = load_trajectories(args.traj_dir)
         est = estimate_psdm(traj, _resolve_omega(args, traj.num_samples))
-    params = ReconstructionParams(
-        q=args.q, gamma=args.gamma, omega=est.omega, parent_sets=args.parent_sets
-    )
+    params = ReconstructionParams(q=args.q, gamma=args.gamma, omega=est.omega)
     result = reconstruct(est, params, search=args.search)
     _emit(dag_to_edgelist(result.graph), args.out_dag)
     _emit(audit_json(result), args.out_audit)
@@ -230,8 +214,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=int, required=True, help="number of trajectories")
     sim.add_argument("--num-samples", type=int, required=True, help="samples per trajectory")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--method", choices=METHODS, default="exact")
-    sim.add_argument("--burn-in", type=int, default=None)
     sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -249,7 +231,6 @@ def build_parser() -> _Parser:
     rec.add_argument("--omega", type=float, default=None)
     rec.add_argument("--q", type=int, required=True)
     rec.add_argument("--gamma", type=float, required=True)
-    rec.add_argument("--parent-sets", choices=PARENT_MODES, default="prefix")
     rec.add_argument("--search", choices=SEARCH_MODES, default="fixed_size")
     rec.add_argument("--out-dag", default=None)
     rec.add_argument("--out-audit", default=None)

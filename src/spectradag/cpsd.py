@@ -52,8 +52,10 @@ class PsdmEstimate:
     num_samples: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         require_hermitian(m, "PSDM estimate")
+        # complex sums of x x^* leave rounding residue in the diagonal's imaginary part
+        m.imag[np.diag_indices_from(m)] = 0.0
         if m.shape[0] and np.min(m.diagonal().real) < 0:
             raise NumericalError("PSDM estimate has a negative diagonal entry")
         object.__setattr__(self, "matrix", m)
@@ -97,8 +99,6 @@ def sample_psdm(
     num_samples: int,
     omega: float,
     seed,
-    method: str = "exact",
-    burn_in=None,
     max_block_rows=None,
 ) -> PsdmEstimate:
     """Simulate and estimate in one streaming pass, never holding all data.
@@ -108,9 +108,7 @@ def sample_psdm(
     """
     p = model.p
     acc = np.zeros((p, p), dtype=complex)
-    for block in iter_trajectory_blocks(
-        model, strategy, n, num_samples, seed, method, burn_in, max_block_rows
-    ):
+    for block in iter_trajectory_blocks(model, strategy, n, num_samples, seed, max_block_rows):
         xw = _dft_block(block, omega)
         acc += xw.T @ np.conj(xw)
     return PsdmEstimate(

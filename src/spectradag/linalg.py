@@ -1,9 +1,9 @@
-"""Complex dense linear algebra and transforms underlying the estimators.
+"""Complex dense linear algebra underlying the estimators.
 
 Everything here is a thin, contract-carrying wrapper over numpy primitives:
-a finite DFT evaluated at one angular frequency, Hermitian positive-definite
-solves with a ridge rescue for rank-deficient sample matrices, the spectral
-norm, and the discrete Lyapunov fixed point used for stationary covariances.
+Hermitian positive-definite solves with a ridge rescue for rank-deficient
+sample matrices, the spectral norm, and the discrete Lyapunov fixed point
+used for stationary covariances.
 All complex arithmetic is double precision.
 """
 
@@ -21,36 +21,6 @@ HERMITIAN_TOL = 1e-10
 # treated as numerically singular, and the ridge added in that case.
 SINGULAR_PIVOT_REL = 1e-12
 RIDGE_REL = 1e-10
-
-
-def dft_at(samples, omega: float) -> np.ndarray:
-    """Finite DFT of a trajectory at a single angular frequency.
-
-    Parameters
-    ----------
-    samples : (N, p) array_like of real
-        One trajectory: N time steps of a p-dimensional state.
-    omega : float
-        Angular frequency in radians.
-
-    Returns
-    -------
-    (p,) complex ndarray
-        ``(1/sqrt(N)) * sum_k samples[k] * exp(-1j*omega*k)``.
-
-    Notes
-    -----
-    Direct O(N) summation on purpose: the estimators only ever need one
-    frequency at a time, so an FFT over a full grid would be wasted work.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    if n == 0:
-        raise NumericalError("empty trajectory")
-    phases = np.exp(-1j * omega * np.arange(n))
-    return (phases @ x) / np.sqrt(n)
 
 
 def hermitian_residual(a) -> float:

@@ -9,11 +9,8 @@ Two phases, both driven by the conditional PSD f(i, C, omega):
    min(|S|, q): f is monotone nonincreasing in C, so nothing smaller can
    win (the ``all_subsets`` search mode exists to check that equivalence).
 2. Parent identification: for each node, a candidate parent is kept when
-   removing it from the conditioning set raises f by at least gamma. The
-   conditioning set is the full ordered prefix by default; ``optset`` uses
-   the minimizing set recorded during ordering instead (the two differ
-   only when the minimizing set is smaller than the prefix, in which case
-   parents outside it cannot be recovered).
+   removing it from the conditioning set, the full ordered prefix, raises
+   f by at least gamma.
 
 Every f evaluation goes through `cpsd_f` — one arithmetic path for search,
 thresholding, and any external audit, so ties resolve identically
@@ -35,7 +32,6 @@ from .graphs import Dag
 from .linalg import require_hermitian
 
 SEARCH_MODES = ("fixed_size", "all_subsets")
-PARENT_MODES = ("prefix", "optset")
 
 
 @dataclass(frozen=True)
@@ -45,17 +41,12 @@ class ReconstructionParams:
     q: int
     gamma: float
     omega: float
-    parent_sets: str = "prefix"
 
     def __post_init__(self):
         if self.q < 0:
             raise ConfigError(f"q must be >= 0, got {self.q}")
         if not self.gamma > 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.parent_sets not in PARENT_MODES:
-            raise ConfigError(
-                f"parent_sets must be one of {PARENT_MODES}, got {self.parent_sets!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +92,9 @@ def _ordering_scan(matrix, params, search):
     order: list[int] = []
     optsets: list[frozenset[int]] = []
     trail: list[tuple[int, frozenset[int], float]] = []
+    # f(j, c) does not change as the prefix grows, so each pair is evaluated
+    # once; only subsets holding the newly ordered node are new at each step.
+    fvals: dict[tuple[int, tuple[int, ...]], float] = {}
     remaining = list(range(p))
     while remaining:
         prefix = sorted(order)
@@ -114,7 +108,9 @@ def _ordering_scan(matrix, params, search):
         best = None
         for j in remaining:
             for c in subs:
-                v = cpsd_f(matrix, j, c, params.omega).value
+                if (j, c) not in fvals:
+                    fvals[(j, c)] = cpsd_f(matrix, j, c, params.omega).value
+                v = fvals[(j, c)]
                 key = (v, j, c)
                 if best is None or key < best:
                     best = key
@@ -126,15 +122,12 @@ def _ordering_scan(matrix, params, search):
     return tuple(order), tuple(optsets), tuple(trail)
 
 
-def _parent_scan(matrix, order, optsets, params):
+def _parent_scan(matrix, order, params):
     edges = set()
     fvals: list[tuple[int, frozenset[int], float]] = []
     drops: list[tuple[int, int, float]] = []
     for pos, node in enumerate(order):
-        if params.parent_sets == "prefix":
-            cset = frozenset(order[:pos])
-        else:
-            cset = frozenset(optsets[pos])
+        cset = frozenset(order[:pos])
         if not cset:
             continue
         f_full = cpsd_f(matrix, node, cset, params.omega).value
@@ -168,17 +161,22 @@ def order_nodes(psdm, params: ReconstructionParams, *, search: str = "fixed_size
 
 
 def identify_parents(psdm, order, optsets, params: ReconstructionParams) -> Dag:
-    """Thresholded-drop parent sets along a given ordering, as a Dag."""
+    """Thresholded-drop parent sets along a given ordering, as a Dag.
+
+    The conditioning sets are the ordered prefixes, so ``optsets`` is no
+    longer read. It is still taken, and its length still checked, so that
+    callers written against the ``order_nodes`` -> ``identify_parents``
+    pair keep working unchanged.
+    """
     matrix = _matrix_of(psdm, params)
     p = matrix.shape[0]
     _check_q(params, p)
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(p)):
         raise ConfigError("order is not a permutation of 0..p-1")
-    optsets = tuple(frozenset(s) for s in optsets)
-    if len(optsets) != p:
+    if len(tuple(optsets)) != p:
         raise ConfigError("one minimizing set per ordered position required")
-    edges, _, _ = _parent_scan(matrix, order, optsets, params)
+    edges, _, _ = _parent_scan(matrix, order, params)
     return Dag(p=p, edges=edges, order=order)
 
 
@@ -189,7 +187,7 @@ def reconstruct(psdm, params: ReconstructionParams, *, search: str = "fixed_size
     matrix = _matrix_of(psdm, params)
     _check_q(params, matrix.shape[0])
     order, optsets, trail = _ordering_scan(matrix, params, search)
-    edges, fvals, drops = _parent_scan(matrix, order, optsets, params)
+    edges, fvals, drops = _parent_scan(matrix, order, params)
     graph = Dag(p=matrix.shape[0], edges=edges, order=order)
     return ReconstructionResult(
         order=order,

@@ -1,7 +1,7 @@
 """Deterministic RNG stream derivation.
 
 All randomness in the package flows through numpy's PCG64 generator seeded
-via ``numpy.random.SeedSequence``. Independent substreams (one per Monte
+via ``numpy.random.SeedSequence``. Independent streams (one per Monte
 Carlo trial, per sampling strategy, per trajectory count, ...) are derived
 by extending the root seed's entropy with a path of small integers, so
 trials are independent and insensitive to execution order.
@@ -18,7 +18,6 @@ import numpy as np
 STREAM_MODEL = 0
 STREAM_DATA = 1
 STREAM_TAIL = 2
-STREAM_WEIGHTS = 3
 
 # Categorical codes for path components that are strings elsewhere.
 NOISE_CODES = {"iid": 0, "ar1": 1}
@@ -32,11 +31,6 @@ def seed_path(root_seed: int, *path: int) -> tuple[int, ...]:
     if any(x < 0 for x in parts):
         raise ValueError("seed path components must be nonnegative integers")
     return tuple(parts)
-
-
-def substream(root_seed: int, *path: int) -> np.random.Generator:
-    """A PCG64 generator for the stream identified by (root_seed, *path)."""
-    return np.random.default_rng(np.random.SeedSequence(seed_path(root_seed, *path)))
 
 
 def rng_from(seed) -> np.random.Generator:

@@ -6,17 +6,11 @@ Two sampling strategies:
 * ``continuous``: one realization whose n*N consecutive recorded samples
   are split into n segments (adjacent segments are correlated).
 
-Two sampler implementations:
-
-* ``exact`` (default): because the coefficient matrix is supported on a
-  DAG it is nilpotent (B^p = 0), so the state is the finite moving average
-  x(t) = sum_{k<p} B^k e(t-k). Sampling that form with exactly stationary
-  noise yields the stationary process directly, with no burn-in and no
-  transient approximation.
-* ``recursion``: the literal zero-init state recursion, discarding a
-  burn-in prefix (default max(10*N, 1000)) before recording. Kept as the
-  reference implementation; statistically equivalent to ``exact`` once the
-  burn-in exceeds the graph depth.
+Because the coefficient matrix is supported on a DAG it is nilpotent
+(B^p = 0), so the state is the finite moving average
+x(t) = sum_{k<p} B^k e(t-k). Sampling that form with exactly stationary
+noise yields the stationary process directly, with no burn-in and no
+transient approximation.
 
 Generation is blocked to bound memory. Draw order is block-size invariant
 (each restart-record trajectory consumes a contiguous run of normals; the
@@ -38,14 +32,9 @@ from .models import LdsModel, NoiseSpec, model_hash
 from .seeding import rng_from
 
 STRATEGIES = ("restart_record", "continuous")
-METHODS = ("exact", "recursion")
 
 # Noise-block budget: ~32 MB of float64 per generated block.
 _TARGET_BLOCK_ELEMS = 4_000_000
-
-
-def default_burn_in(num_samples: int) -> int:
-    return max(10 * int(num_samples), 1000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +46,6 @@ class TrajectorySet:
     num_samples: int
     data: np.ndarray
     seed: object
-    burn_in: int
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -145,22 +133,13 @@ def _combine(powers, e_full: np.ndarray, offset: int, count: int) -> np.ndarray:
     return x
 
 
-def _validate_args(model, strategy, n, num_samples, method):
+def _validate_args(strategy, n, num_samples):
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
-
-
-def resolved_burn_in(method: str, num_samples: int, burn_in) -> int:
-    """Burn-in actually applied: 0 for the exact sampler, else the default."""
-    if method == "exact":
-        return 0
-    return int(burn_in) if burn_in is not None else default_burn_in(num_samples)
 
 
 def iter_trajectory_blocks(
@@ -169,8 +148,6 @@ def iter_trajectory_blocks(
     n: int,
     num_samples: int,
     seed,
-    method: str = "exact",
-    burn_in=None,
     max_block_rows=None,
 ):
     """Yield the trajectory array in (rows, N, p) blocks, bounding memory.
@@ -178,16 +155,15 @@ def iter_trajectory_blocks(
     Concatenating the blocks reproduces ``simulate(...).data`` exactly,
     independent of the block size.
     """
-    _validate_args(model, strategy, n, num_samples, method)
+    _validate_args(strategy, n, num_samples)
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
     powers = _b_powers(model.b)
     pre = p - 1
-    burn = resolved_burn_in(method, big_n, burn_in)
 
     if strategy == "restart_record":
-        length = (pre if method == "exact" else burn) + big_n
+        length = pre + big_n
         rows_budget = max(1, _TARGET_BLOCK_ELEMS // max(length * p, 1))
         if max_block_rows is not None:
             rows_budget = min(rows_budget, int(max_block_rows))
@@ -195,22 +171,13 @@ def iter_trajectory_blocks(
         while done < n:
             rows = min(rows_budget, n - done)
             path = _rr_noise_block(model.noise, p, rng, rows, length)
-            if method == "exact":
-                e_full, offset = path, pre
-            else:
-                e_full = np.concatenate([np.zeros((rows, pre, p)), path], axis=1)
-                offset = pre + burn
-            yield _combine(powers, e_full, offset, big_n)
+            yield _combine(powers, path, pre, big_n)
             done += rows
         return
 
     # continuous: one realization; carry the last p-1 noise rows across blocks
     stream = _NoiseStream(model.noise, p, rng)
-    if method == "exact":
-        carry = stream.take(pre)
-    else:
-        warmup = np.concatenate([np.zeros((pre, p)), stream.take(burn)], axis=0)
-        carry = warmup[len(warmup) - pre :] if pre > 0 else np.zeros((0, p))
+    carry = stream.take(pre)
     segs_budget = max(1, _TARGET_BLOCK_ELEMS // max(big_n * p, 1))
     if max_block_rows is not None:
         segs_budget = min(segs_budget, int(max_block_rows))
@@ -222,8 +189,7 @@ def iter_trajectory_blocks(
         e_full = np.concatenate([carry, path], axis=0)
         x = _combine(powers, e_full, pre, count)
         yield x.reshape(segs, big_n, p)
-        if pre > 0:
-            carry = e_full[len(e_full) - pre :]
+        carry = e_full[len(e_full) - pre :]
         done += segs
 
 
@@ -233,8 +199,6 @@ def simulate(
     n: int,
     num_samples: int,
     seed,
-    method: str = "exact",
-    burn_in=None,
 ) -> TrajectorySet:
     """Sample n trajectories of N = num_samples steps from the model.
 
@@ -242,18 +206,12 @@ def simulate(
     ----------
     strategy : "restart_record" or "continuous"
     seed : int, entropy tuple, or numpy Generator
-    method : "exact" (stationary moving-average sampler, default) or
-        "recursion" (zero-init recursion discarding `burn_in` steps).
-    burn_in : int, optional
-        Recursion only; defaults to max(10*N, 1000).
 
     Returns
     -------
     TrajectorySet with data of shape (n, N, p). Deterministic given seed.
     """
-    blocks = list(
-        iter_trajectory_blocks(model, strategy, n, num_samples, seed, method, burn_in)
-    )
+    blocks = list(iter_trajectory_blocks(model, strategy, n, num_samples, seed))
     data = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
     return TrajectorySet(
         strategy=strategy,
@@ -261,7 +219,6 @@ def simulate(
         num_samples=int(num_samples),
         data=data,
         seed=seed,
-        burn_in=resolved_burn_in(method, int(num_samples), burn_in),
     )
 
 
@@ -287,7 +244,6 @@ def save_trajectories(traj: TrajectorySet, directory, model: LdsModel | None = N
         "strategy": traj.strategy,
         "n": traj.n,
         "N": traj.num_samples,
-        "burn_in": traj.burn_in,
         "seed": seed,
         "model_hash": model_hash(model) if model is not None else None,
         "files": names,
@@ -312,7 +268,6 @@ def load_trajectories(directory) -> tuple[TrajectorySet, dict]:
             num_samples=int(manifest["N"]),
             data=data,
             seed=tuple(seed) if isinstance(seed, list) else seed,
-            burn_in=int(manifest.get("burn_in", 0)),
         )
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"malformed trajectory directory {directory}: {exc}") from exc

@@ -164,6 +164,22 @@ def test_estimate_missing_dir_exit_code_3(tmp_path):
     assert rc == 3
 
 
+def test_removed_sampler_and_parent_flags_exit_code_1(tmp_path):
+    # the recursion sampler and the optset parent rule are gone, with their flags
+    model_path, _ = gen_model_files(tmp_path, p=3, q=1, seed=5)
+    sim = ["simulate", "--model", str(model_path), "--strategy", "continuous",
+           "--n", "3", "--num-samples", "8", "--seed", "1"]
+    assert run_cli(*sim, "--method", "exact", "--out-dir", str(tmp_path / "a")) == 1
+    assert run_cli(*sim, "--burn-in", "5", "--out-dir", str(tmp_path / "b")) == 1
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    assert run_cli(*sim, "--out-dir", str(tmp_path / "traj")) == 0
+    rec = ["reconstruct", "--traj-dir", str(tmp_path / "traj"), "--omega-index", "2",
+           "--q", "1", "--gamma", "0.1", "--out-dag", str(tmp_path / "rec.txt")]
+    assert run_cli(*rec, "--parent-sets", "prefix") == 1
+    assert not (tmp_path / "rec.txt").exists()
+    assert run_cli(*rec) == 0
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

@@ -30,7 +30,6 @@ from spectradag.graphs import (
     source_nodes,
     structural_queries,
 )
-from spectradag.linalg import dft_at
 from spectradag.models import (
     NoiseSpec,
     build_model,
@@ -38,6 +37,7 @@ from spectradag.models import (
     expected_psdm_finite_n,
 )
 from spectradag.seeding import seed_path
+from test_linalg import naive_dft
 from spectradag.simulate import simulate
 
 IID = NoiseSpec("iid", sigma_w=0.5)
@@ -311,7 +311,7 @@ class TestEstimatePsdm:
         traj = simulate(model, "restart_record", 1, 16, seed=9)
         w = 0.7
         est = estimate_psdm(traj, w)
-        x = dft_at(traj.data[0], w)
+        x = naive_dft(traj.data[0], w)
         assert np.allclose(est.matrix, np.outer(x, np.conj(x)), atol=1e-12)
         eig = np.linalg.eigvalsh(est.matrix)
         assert eig.min() >= -1e-12
@@ -327,7 +327,8 @@ class TestEstimatePsdm:
             runs.append(estimate_psdm(traj, w).matrix)
         assert np.array_equal(runs[0], runs[1])
         digest = hashlib.sha256(np.round(runs[0], 10).tobytes()).hexdigest()
-        assert digest == "8f480a5992a52b4ce49af9d9d88e1cd5af2d4fbf435cf758324e4cb24723cef2"
+        # the diagonal is stored exactly real, so no entry rounds to -0.0j
+        assert digest == "5280bca88f9ea3ded4aa0d510946fcad48a69f88a9e9cbfe62d84382067ca47c"
 
     def test_pure_noise_calibration(self):
         dag = Dag(p=3, edges=frozenset(), order=(0, 1, 2))
@@ -374,6 +375,14 @@ class TestSamplePsdm:
         )
         assert np.allclose(streamed.matrix, direct.matrix, atol=1e-10)
         assert streamed.n == 300 and streamed.num_samples == 32
+
+    @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
+    def test_diagonal_exactly_real(self, strategy):
+        # summing |x|^2 in complex arithmetic leaves ~1e-19 imaginary residue
+        for k, noise in enumerate([IID, AR1]):
+            model = build_model(random_dag(10, 2, seed=40 + k), noise, seed=40 + k)
+            est = sample_psdm(model, strategy, 500, 64, 2 * np.pi * 17 / 64, seed=7)
+            assert np.all(est.matrix.diagonal().imag == 0.0)
 
 
 class TestConsistency:

@@ -1,5 +1,5 @@
-"""Numeric core: single-frequency DFT, Hermitian solves, spectral norm,
-discrete Lyapunov fixed point.
+"""Numeric core: the estimator's single-frequency DFT, Hermitian solves,
+spectral norm, discrete Lyapunov fixed point.
 
 Each routine is checked against an independently coded oracle (naive
 summation, residual evaluation, power iteration, truncated matrix-power
@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spectradag.cpsd import _dft_block
 from spectradag.errors import NumericalError
 from spectradag.linalg import (
-    dft_at,
     hermitian_residual,
     hermitian_solve,
     lyapunov_solve,
@@ -22,7 +22,7 @@ from spectradag.linalg import (
 
 
 def naive_dft(samples: np.ndarray, omega: float) -> np.ndarray:
-    """O(N) per-term direct summation, written independently of dft_at."""
+    """O(N) per-term direct summation, written independently of the package."""
     n = samples.shape[0]
     acc = np.zeros(samples.shape[1], dtype=complex)
     for k in range(n):
@@ -35,24 +35,29 @@ def random_hermitian_pd(rng, dim: int, jitter: float = 0.5) -> np.ndarray:
     return g @ g.conj().T + jitter * np.eye(dim)
 
 
+def estimator_dft(samples: np.ndarray, omega: float) -> np.ndarray:
+    """The estimator's DFT (`cpsd._dft_block`) of one (N, p) trajectory."""
+    return _dft_block(samples[None], omega)[0]
+
+
 class TestDftAt:
     def test_constant_signal_omega_zero(self):
         # sum of N equal vectors, normalized by sqrt(N)
         c = np.array([1.5, -2.0, 0.25])
         samples = np.tile(c, (16, 1))
-        out = dft_at(samples, 0.0)
+        out = estimator_dft(samples, 0.0)
         np.testing.assert_allclose(out, np.sqrt(16) * c, rtol=1e-14)
 
     def test_single_sample_any_omega(self):
         x0 = np.array([0.3, -1.1])
         for omega in (0.0, 1.0, 5.9):
-            np.testing.assert_allclose(dft_at(x0[None, :], omega), x0, rtol=0, atol=0)
+            np.testing.assert_allclose(estimator_dft(x0[None, :], omega), x0, rtol=0, atol=0)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(101)
         samples = rng.standard_normal((64, 5))
         for omega in (0.0, 0.7, 2 * np.pi * 17 / 64, 6.1):
-            got = dft_at(samples, omega)
+            got = estimator_dft(samples, omega)
             want = naive_dft(samples, omega)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -62,13 +67,9 @@ class TestDftAt:
         y = rng.standard_normal((32, 4))
         a, b = 1.7, -0.4
         omega = 1.23
-        lhs = dft_at(a * x + b * y, omega)
-        rhs = a * dft_at(x, omega) + b * dft_at(y, omega)
+        lhs = estimator_dft(a * x + b * y, omega)
+        rhs = a * estimator_dft(x, omega) + b * estimator_dft(y, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(NumericalError, match="empty trajectory"):
-            dft_at(np.zeros((0, 3)), 0.0)
 
 
 class TestHermitianSolve:

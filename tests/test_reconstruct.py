@@ -73,10 +73,6 @@ class TestParams:
         with pytest.raises(ConfigError):
             ReconstructionParams(q=-1, gamma=0.1, omega=0.5)
 
-    def test_rejects_bad_parent_mode(self):
-        with pytest.raises(ConfigError):
-            ReconstructionParams(q=2, gamma=0.1, omega=0.5, parent_sets="bogus")
-
     def test_q_exceeding_dimension_rejected_at_use(self):
         params = ReconstructionParams(q=3, gamma=0.1, omega=0.5)
         with pytest.raises(ConfigError):
@@ -212,17 +208,6 @@ class TestReconstruct:
                 params = ReconstructionParams(q=q, gamma=gamma, omega=float(w))
                 result = reconstruct(exact_psdm(model, float(w)), params)
                 assert graph_equal(result.graph, model.dag)
-
-    def test_optset_variant_exact_on_population(self):
-        for k in range(10):
-            model = build_model(random_dag(6, 2, seed=3600 + k), AR1, seed=3700 + k)
-            gamma = default_gamma(model, GRID8)
-            w = GRID8[5]
-            params = ReconstructionParams(
-                q=2, gamma=gamma, omega=float(w), parent_sets="optset"
-            )
-            result = reconstruct(exact_psdm(model, float(w)), params)
-            assert graph_equal(result.graph, model.dag)
 
     def test_seven_node_demo_graph(self):
         edges = {(0, 1), (1, 2), (2, 3), (3, 6), (4, 5), (5, 6)}

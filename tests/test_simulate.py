@@ -1,15 +1,16 @@
-"""Trajectory generation under both sampling strategies and both sampler
-implementations (exact stationary moving-average form vs literal zero-init
-recursion with burn-in)."""
+"""Trajectory generation under both sampling strategies, from the exact
+stationary moving-average sampler. Its moments are checked against a naive
+zero-init recursion written in the tests, independently of the package."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from spectradag.errors import ConfigError
 from spectradag.graphs import Dag, random_dag
-from spectradag.linalg import dft_at
 from spectradag.models import NoiseSpec, build_model
 from spectradag.simulate import (
     TrajectorySet,
@@ -18,6 +19,8 @@ from spectradag.simulate import (
     save_trajectories,
     simulate,
 )
+from test_linalg import naive_dft
+from test_models import naive_trajectories
 
 IID = NoiseSpec(kind="iid", sigma_w=0.5)
 AR1 = NoiseSpec(kind="ar1", sigma_w=0.5, alpha=0.5)
@@ -29,24 +32,13 @@ def edgeless(p):
 
 class TestShapes:
     @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
-    @pytest.mark.parametrize("method", ["exact", "recursion"])
-    def test_dimensions(self, strategy, method):
+    def test_dimensions(self, strategy):
         model = build_model(random_dag(4, 2, seed=0), IID, seed=0)
-        traj = simulate(model, strategy, n=7, num_samples=12, seed=5, method=method,
-                        burn_in=50 if method == "recursion" else None)
+        traj = simulate(model, strategy, n=7, num_samples=12, seed=5)
         assert traj.data.shape == (7, 12, 4)
         assert traj.strategy == strategy
         assert traj.n == 7 and traj.num_samples == 12
         assert traj.seed == 5
-
-    def test_burn_in_bookkeeping(self):
-        model = build_model(edgeless(2), IID, seed=0)
-        exact = simulate(model, "restart_record", 2, 8, seed=1)
-        assert exact.burn_in == 0  # exact sampler discards nothing
-        rec = simulate(model, "restart_record", 2, 8, seed=1, method="recursion")
-        assert rec.burn_in == 1000  # max(10*N, 1000) default
-        rec2 = simulate(model, "continuous", 2, 200, seed=1, method="recursion")
-        assert rec2.burn_in == 2000
 
     def test_bad_arguments(self):
         model = build_model(edgeless(2), IID, seed=0)
@@ -56,18 +48,14 @@ class TestShapes:
             simulate(model, "continuous", 0, 4, seed=0)
         with pytest.raises(ConfigError):
             simulate(model, "continuous", 1, 0, seed=0)
-        with pytest.raises(ConfigError):
-            simulate(model, "continuous", 1, 4, seed=0, method="other")
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
-    @pytest.mark.parametrize("method", ["exact", "recursion"])
-    def test_same_seed_identical(self, strategy, method):
+    def test_same_seed_identical(self, strategy):
         model = build_model(random_dag(3, 2, seed=1), AR1, seed=1)
-        kw = dict(method=method, burn_in=64 if method == "recursion" else None)
-        a = simulate(model, strategy, 5, 16, seed=99, **kw)
-        b = simulate(model, strategy, 5, 16, seed=99, **kw)
+        a = simulate(model, strategy, 5, 16, seed=99)
+        b = simulate(model, strategy, 5, 16, seed=99)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_different_seed_differs(self):
@@ -119,14 +107,13 @@ class TestDistribution:
 
     @pytest.mark.parametrize("noise", [IID, AR1], ids=["iid", "ar1"])
     def test_exact_matches_recursion_distribution(self, noise):
-        # same lag-0/lag-1 moments from the two sampler implementations
+        # same lag-0/lag-1 moments from the exact sampler and a naive recursion
         model = build_model(random_dag(3, 2, seed=5), noise, seed=5)
-        a = simulate(model, "restart_record", 4000, 16, seed=21, method="exact")
-        b = simulate(model, "restart_record", 4000, 16, seed=22, method="recursion",
-                     burn_in=200)
+        a = simulate(model, "restart_record", 4000, 16, seed=21).data
+        b = naive_trajectories(model, 4000, 16, np.random.default_rng(22), discard=200)
         for lag in (0, 1):
-            pa = np.einsum("ntp,ntq->npq", a.data[:, lag:, :], a.data[:, : 16 - lag, :]) / (16 - lag)
-            pb = np.einsum("ntp,ntq->npq", b.data[:, lag:, :], b.data[:, : 16 - lag, :]) / (16 - lag)
+            pa = np.einsum("ntp,ntq->npq", a[:, lag:, :], a[:, : 16 - lag, :]) / (16 - lag)
+            pb = np.einsum("ntp,ntq->npq", b[:, lag:, :], b[:, : 16 - lag, :]) / (16 - lag)
             se = np.sqrt(pa.std(axis=0, ddof=1) ** 2 / 4000 + pb.std(axis=0, ddof=1) ** 2 / 4000)
             assert np.all(np.abs(pa.mean(axis=0) - pb.mean(axis=0)) <= 5 * se + 1e-12)
 
@@ -156,7 +143,7 @@ class TestDistribution:
         model = build_model(random_dag(2, 1, seed=7), AR1, seed=7)
         traj = simulate(model, "restart_record", n=20000, num_samples=8, seed=51)
         omega = 2 * np.pi * 3 / 8
-        rows = np.array([np.real(dft_at(traj.data[r], omega))[0] for r in range(traj.n)])
+        rows = np.array([np.real(naive_dft(traj.data[r], omega))[0] for r in range(traj.n)])
         pairs = rows.reshape(-1, 2)
         prod = pairs[:, 0] * pairs[:, 1]
         se = prod.std(ddof=1) / np.sqrt(prod.size)
@@ -177,6 +164,19 @@ class TestTrajectoryIo:
         assert manifest["n"] == 4 and manifest["N"] == 6
         assert len(manifest["model_hash"]) == 64
 
+    def test_reads_manifest_with_burn_in_key(self, tmp_path):
+        # manifests written before the recursion sampler was removed carry "burn_in"
+        model = build_model(random_dag(3, 1, seed=8), IID, seed=8)
+        traj = simulate(model, "restart_record", n=2, num_samples=5, seed=62)
+        save_trajectories(traj, tmp_path, model=model)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "burn_in" not in manifest
+        manifest["burn_in"] = 1000
+        path.write_text(json.dumps(manifest))
+        back, _ = load_trajectories(tmp_path)
+        np.testing.assert_allclose(back.data, traj.data, atol=1e-12)
+
     def test_csv_layout(self, tmp_path):
         model = build_model(edgeless(2), IID, seed=0)
         traj = simulate(model, "continuous", n=2, num_samples=3, seed=71)
@@ -196,5 +196,4 @@ class TestTrajectorySetValidation:
                 num_samples=3,
                 data=np.zeros((2, 4, 1)),
                 seed=0,
-                burn_in=0,
             )
