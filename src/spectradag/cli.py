@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .graphs import dag_to_edgelist, random_dag
 from .models import NoiseSpec, build_model, model_from_json, model_to_json
-from .reconstruct import SEARCH_MODES, ReconstructionParams, audit_json, reconstruct
+from .reconstruct import ReconstructionParams, audit_json, reconstruct
 from .seeding import NOISE_CODES, STREAM_MODEL, seed_path
 from .simulate import STRATEGIES, load_trajectories, save_trajectories, simulate
 
@@ -130,7 +130,7 @@ def _cmd_reconstruct(args) -> None:
         traj, _ = load_trajectories(args.traj_dir)
         est = estimate_psdm(traj, _resolve_omega(args, traj.num_samples))
     params = ReconstructionParams(q=args.q, gamma=args.gamma, omega=est.omega)
-    result = reconstruct(est, params, search=args.search)
+    result = reconstruct(est, params)
     _emit(dag_to_edgelist(result.graph), args.out_dag)
     _emit(audit_json(result), args.out_audit)
 
@@ -231,7 +231,6 @@ def build_parser() -> _Parser:
     rec.add_argument("--omega", type=float, default=None)
     rec.add_argument("--q", type=int, required=True)
     rec.add_argument("--gamma", type=float, required=True)
-    rec.add_argument("--search", choices=SEARCH_MODES, default="fixed_size")
     rec.add_argument("--out-dag", default=None)
     rec.add_argument("--out-audit", default=None)
     rec.set_defaults(func=_cmd_reconstruct)

@@ -140,34 +140,41 @@ def _finalize_f(raw, node, cond, omega, ridged, scale) -> CpsdValue:
     )
 
 
-def cpsd_f(psdm, i: int, cond, omega: float) -> CpsdValue:
-    """Conditional PSD of node i given cond, from a population or sample PSDM.
+def cpsd_fs(psdm, nodes, cond, omega: float) -> list[CpsdValue]:
+    """Conditional PSD of each of ``nodes`` given one shared cond.
 
-    psdm may be a PsdmEstimate or a bare Hermitian matrix. The Schur
-    complement is evaluated through `hermitian_solve`, so a rank-deficient
-    conditioning block gets the ridge rescue (flagged on the result). The
-    realness and sign tolerances scale with trace(psdm)/p, so the result
-    does not depend on the unit of the data.
+    psdm may be a PsdmEstimate or a bare Hermitian matrix. `hermitian_solve`
+    factors the conditioning block once, with every node as a right-hand
+    side, so a rank-deficient block gets the ridge rescue (flagged on each
+    result). The realness and sign tolerances scale with trace(psdm)/p, so
+    the results do not depend on the unit of the data.
     """
     matrix = psdm.matrix if isinstance(psdm, PsdmEstimate) else np.asarray(psdm, dtype=complex)
     p = matrix.shape[0]
-    i = int(i)
+    nodes = [int(i) for i in nodes]
     cond = frozenset(int(c) for c in cond)
-    if not (0 <= i < p):
-        raise ConfigError(f"node {i} out of range for p={p}")
     if any(not (0 <= c < p) for c in cond):
         raise ConfigError(f"conditioning set {sorted(cond)} out of range for p={p}")
-    if i in cond:
-        raise ConfigError(f"node {i} may not appear in its own conditioning set")
+    for i in nodes:
+        if not (0 <= i < p):
+            raise ConfigError(f"node {i} out of range for p={p}")
+        if i in cond:
+            raise ConfigError(f"node {i} may not appear in its own conditioning set")
     scale = np.trace(matrix).real / p
-    if not cond:
-        return _finalize_f(matrix[i, i], i, cond, omega, ridged=False, scale=scale)
     idx = sorted(cond)
-    a = matrix[np.ix_(idx, idx)]
-    b = matrix[idx, i]
-    sol, ridged = hermitian_solve(a, b, with_flag=True)
-    raw = matrix[i, i] - np.vdot(b, sol)
-    return _finalize_f(raw, i, cond, omega, ridged=ridged, scale=scale)
+    a, b = matrix[np.ix_(idx, idx)], matrix[np.ix_(idx, nodes)]
+    # an empty cond leaves nothing to solve: every vdot is 0 and f is Phi_ii
+    sol, ridged = hermitian_solve(a, b, with_flag=True) if idx else (b, False)
+    # columns solve independently; vdots of contiguous copies keep one-node bits
+    return [
+        _finalize_f(matrix[i, i] - np.vdot(x, y), i, cond, omega, ridged, scale)
+        for i, x, y in zip(nodes, b.T.copy(), sol.T.copy())
+    ]
+
+
+def cpsd_f(psdm, i: int, cond, omega: float) -> CpsdValue:
+    """Conditional PSD of node i given cond: the one-node case of `cpsd_fs`."""
+    return cpsd_fs(psdm, [i], cond, omega)[0]
 
 
 def cpsd_deficit(model: LdsModel, omega_grid, *, ancestral_only: bool = False) -> float:
@@ -244,6 +251,8 @@ def load_psdm(path) -> PsdmEstimate:
         for e in entries:
             seen[(int(e[0]), int(e[1]))] = complex(float(e[2]), float(e[3]))
         p = max(r for r, _ in seen) + 1 if seen else 0
+        if any(not (0 <= r < p and 0 <= c < p) for r, c in seen):
+            raise ConfigError(f"PSDM file {path} has an index outside [0, {p})")
         if len(seen) != p * p or len(entries) != p * p:
             raise ConfigError(f"PSDM file {path} does not contain a complete square matrix")
         matrix = np.zeros((p, p), dtype=complex)

@@ -231,6 +231,8 @@ def dag_from_edgelist(text: str) -> Dag:
             j, i = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad edge line: {ln!r}") from exc
+        if not (0 <= j < p and 0 <= i < p):
+            raise ConfigError(f"edge ({j}, {i}) out of range for p={p}")
         edges.add((j, i))
     order = canonical_order(p, edges)  # raises on cycles
     return Dag(p=p, edges=frozenset(edges), order=order)

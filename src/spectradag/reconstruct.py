@@ -7,31 +7,30 @@ Two phases, both driven by the conditional PSD f(i, C, omega):
    population PSDM the minimizer always has its parents covered by S, so S
    comes out topologically sorted. The search uses subsets of exact size
    min(|S|, q): f is monotone nonincreasing in C, so nothing smaller can
-   win (the ``all_subsets`` search mode exists to check that equivalence).
+   win (the tests check that equivalence against a scan of all subsets).
 2. Parent identification: for each node, a candidate parent is kept when
    removing it from the conditioning set, the full ordered prefix, raises
    f by at least gamma.
 
-Every f evaluation goes through `cpsd_f` — one arithmetic path for search,
-thresholding, and any external audit, so ties resolve identically
-everywhere. Ties in the argmin are broken by (f value, node id,
-lexicographic C), making results reproducible across runs.
+Every f evaluation goes through `cpsd_fs` (or `cpsd_f`, its bitwise-equal
+one-node case) — one arithmetic path for search, thresholding, and any
+external audit, so ties resolve identically everywhere. Ties in the argmin
+are broken by (f value, node id, lexicographic C), making results
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
-from .cpsd import PsdmEstimate, cpsd_f
+from .cpsd import PsdmEstimate, cpsd_f, cpsd_fs
 from .errors import ConfigError
 from .graphs import Dag
 from .linalg import require_hermitian
-
-SEARCH_MODES = ("fixed_size", "all_subsets")
 
 
 @dataclass(frozen=True)
@@ -87,39 +86,27 @@ def _check_q(params: ReconstructionParams, p: int) -> None:
         raise ConfigError(f"q={params.q} must be <= p-1={p - 1}")
 
 
-def _ordering_scan(matrix, params, search):
-    p = matrix.shape[0]
+def _ordering_scan(matrix, params):
     order: list[int] = []
-    optsets: list[frozenset[int]] = []
     trail: list[tuple[int, frozenset[int], float]] = []
-    # f(j, c) does not change as the prefix grows, so each pair is evaluated
-    # once; only subsets holding the newly ordered node are new at each step.
-    fvals: dict[tuple[int, tuple[int, ...]], float] = {}
-    remaining = list(range(p))
+    remaining = list(range(matrix.shape[0]))
+    best: dict[int, tuple[float, int, tuple[int, ...]]] = {}  # node -> least (f, node, C)
     while remaining:
-        prefix = sorted(order)
-        k_full = min(len(order), params.q)
-        if search == "fixed_size":
-            subs = list(combinations(prefix, k_full))
-        else:
-            subs = sorted(
-                chain.from_iterable(combinations(prefix, k) for k in range(k_full + 1))
-            )
-        best = None
-        for j in remaining:
-            for c in subs:
-                if (j, c) not in fvals:
-                    fvals[(j, c)] = cpsd_f(matrix, j, c, params.omega).value
-                v = fvals[(j, c)]
-                key = (v, j, c)
-                if best is None or key < best:
-                    best = key
-        v, j, c = best
+        k = min(len(order), params.q)
+        if k == len(order):
+            best = {}  # the set size grew, so no earlier set counts
+        # f(j, C) never changes, so only the sets holding the node placed last are new
+        fresh = [c for c in combinations(sorted(order), k) if k == len(order) or order[-1] in c]
+        for c in fresh:
+            for fv in cpsd_fs(matrix, remaining, c, params.omega):
+                key = (fv.value, fv.node, c)
+                best[fv.node] = min(best.get(fv.node, key), key)
+        v, j, c = min(best.values())
+        del best[j]
         order.append(j)
-        optsets.append(frozenset(c))
         trail.append((j, frozenset(c), v))
         remaining.remove(j)
-    return tuple(order), tuple(optsets), tuple(trail)
+    return tuple(order), tuple(s for _, s, _ in trail), tuple(trail)
 
 
 def _parent_scan(matrix, order, params):
@@ -151,12 +138,16 @@ def _parent_scan(matrix, order, params):
 
 
 def order_nodes(psdm, params: ReconstructionParams, *, search: str = "fixed_size"):
-    """Iterative CPSD-minimizing ordering; returns (order, minimizing sets)."""
-    if search not in SEARCH_MODES:
-        raise ConfigError(f"search must be one of {SEARCH_MODES}, got {search!r}")
+    """Iterative CPSD-minimizing ordering; returns (order, minimizing sets).
+
+    ``search`` accepts only "fixed_size"; it stays so that callers that
+    still pass it, such as the benchmark's tracer, keep working.
+    """
+    if search != "fixed_size":
+        raise ConfigError(f"search must be 'fixed_size', got {search!r}")
     matrix = _matrix_of(psdm, params)
     _check_q(params, matrix.shape[0])
-    order, optsets, _ = _ordering_scan(matrix, params, search)
+    order, optsets, _ = _ordering_scan(matrix, params)
     return order, optsets
 
 
@@ -180,13 +171,11 @@ def identify_parents(psdm, order, optsets, params: ReconstructionParams) -> Dag:
     return Dag(p=p, edges=edges, order=order)
 
 
-def reconstruct(psdm, params: ReconstructionParams, *, search: str = "fixed_size"):
+def reconstruct(psdm, params: ReconstructionParams):
     """Full pipeline: ordering, then parent identification, with audit trail."""
-    if search not in SEARCH_MODES:
-        raise ConfigError(f"search must be one of {SEARCH_MODES}, got {search!r}")
     matrix = _matrix_of(psdm, params)
     _check_q(params, matrix.shape[0])
-    order, optsets, trail = _ordering_scan(matrix, params, search)
+    order, optsets, trail = _ordering_scan(matrix, params)
     edges, fvals, drops = _parent_scan(matrix, order, params)
     graph = Dag(p=matrix.shape[0], edges=edges, order=order)
     return ReconstructionResult(

@@ -33,6 +33,7 @@ from spectradag.graphs import (
 from spectradag.models import NoiseSpec, build_model, exact_psdm, expected_psdm_finite_n
 from spectradag.reconstruct import ReconstructionParams, order_nodes, reconstruct
 from spectradag.simulate import iter_trajectory_blocks
+from test_reconstruct import order_oracle
 
 GRID8 = 2.0 * np.pi * np.arange(8) / 8.0
 IID = NoiseSpec("iid")
@@ -350,8 +351,8 @@ def test_08_search_reduction_gives_same_order():
         for omega in GRID8[::2]:
             mat = exact_psdm(model, omega)
             params = ReconstructionParams(q=q, gamma=1.0, omega=omega)
-            order_fixed, _ = order_nodes(mat, params, search="fixed_size")
-            order_all, _ = order_nodes(mat, params, search="all_subsets")
+            order_fixed, _ = order_nodes(mat, params)
+            order_all, _ = order_oracle(mat, q, omega, fixed_size=False)
             assert order_fixed == order_all, (
                 f"case {idx} (p={dag.p}, q={q}) omega={omega:.3f}: "
                 f"{order_fixed} vs {order_all}"

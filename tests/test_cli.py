@@ -165,7 +165,8 @@ def test_estimate_missing_dir_exit_code_3(tmp_path):
 
 
 def test_removed_sampler_and_parent_flags_exit_code_1(tmp_path):
-    # the recursion sampler and the optset parent rule are gone, with their flags
+    # the recursion sampler, the optset parent rule and the search modes are
+    # gone, with their flags
     model_path, _ = gen_model_files(tmp_path, p=3, q=1, seed=5)
     sim = ["simulate", "--model", str(model_path), "--strategy", "continuous",
            "--n", "3", "--num-samples", "8", "--seed", "1"]
@@ -176,6 +177,7 @@ def test_removed_sampler_and_parent_flags_exit_code_1(tmp_path):
     rec = ["reconstruct", "--traj-dir", str(tmp_path / "traj"), "--omega-index", "2",
            "--q", "1", "--gamma", "0.1", "--out-dag", str(tmp_path / "rec.txt")]
     assert run_cli(*rec, "--parent-sets", "prefix") == 1
+    assert run_cli(*rec, "--search", "fixed_size") == 1
     assert not (tmp_path / "rec.txt").exists()
     assert run_cli(*rec) == 0
 
@@ -265,6 +267,15 @@ def test_reconstruct_input_validation(tmp_path):
         )
         == 1
     )
+    # a negative index in a PSDM file is rejected, not wrapped around
+    psdm_path = tmp_path / "neg.csv"
+    psdm_path.write_text(
+        "# omega=0.1,n=2,N=4\nrow,col,re,im\n"
+        "0,0,1.0,0.0\n0,1,0.1,0.0\n1,0,0.1,0.0\n-1,1,2.0,0.0\n"
+    )
+    assert run_cli("reconstruct", "--psdm", str(psdm_path), "--q", "1",
+                   "--gamma", "0.1", "--out-dag", out) == 1
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_reconstruct_numerical_failure_exit_code_2(tmp_path):

@@ -16,6 +16,7 @@ from spectradag.cpsd import (
     PsdmEstimate,
     cpsd_deficit,
     cpsd_f,
+    cpsd_fs,
     default_gamma,
     estimate_psdm,
     load_psdm,
@@ -163,6 +164,67 @@ class TestCpsdF:
         out = cpsd_f(est, 0, {1, 2, 3}, 1.2)  # rank-1 block: ridge must kick in
         assert out.ridge_applied
         assert out.value >= 0.0
+
+
+class TestCpsdFs:
+    """The multi-node kernel against its one-node case, bit for bit."""
+
+    @staticmethod
+    def assert_matches_single(m, nodes, cond, w):
+        got = cpsd_fs(m, nodes, cond, w)
+        assert [v.node for v in got] == list(nodes)
+        for node, many in zip(nodes, got):
+            one = cpsd_f(m, node, cond, w)
+            assert many.value.hex() == one.value.hex()
+            assert many.ridge_applied == one.ridge_applied
+            assert many.clamped == one.clamped
+            assert many == one
+        return got
+
+    def test_population_psdms(self):
+        for k in range(12):
+            noise = IID if k % 2 else AR1
+            p = 4 + k % 5
+            model = build_model(random_dag(p, 2, seed=1100 + k), noise, seed=1200 + k)
+            w = float(GRID8[k % 8])
+            phi = exact_psdm(model, w)
+            for size in range(p):
+                for cond in combinations(range(p), size):
+                    nodes = [v for v in range(p) if v not in cond]
+                    self.assert_matches_single(phi, nodes, cond, w)
+
+    def test_sample_psdms(self):
+        for k in range(6):
+            model = build_model(random_dag(7, 2, seed=1300 + k), AR1, seed=1400 + k)
+            w = float(GRID8[3])
+            est = sample_psdm(model, "restart_record", 60 + 40 * k, 16, w, seed=k)
+            rng = np.random.default_rng(k)
+            for size in range(1, 5):
+                cond = sorted(rng.choice(7, size=size, replace=False).tolist())
+                nodes = [v for v in range(7) if v not in cond]
+                self.assert_matches_single(est, nodes, cond, w)
+
+    def test_ridge_and_clamp_inputs(self):
+        model = build_model(random_dag(4, 1, seed=5), IID, seed=5)
+        est = estimate_psdm(simulate(model, "restart_record", 1, 32, seed=5), 1.2)
+        got = self.assert_matches_single(est, [0, 3], {1, 2}, 1.2)
+        assert all(v.ridge_applied for v in got)
+        phi = np.array(
+            [[1.0, 1.0, 0.0], [1.0, 1.0 - 1e-10, 0.0], [0.0, 0.0, 1.0]], dtype=complex
+        )
+        got = self.assert_matches_single(phi, [1, 2], {0}, 0.0)
+        assert [v.clamped for v in got] == [True, False]
+
+    def test_bad_nodes_rejected(self):
+        phi = np.eye(3, dtype=complex)
+        with pytest.raises(ConfigError):
+            cpsd_fs(phi, [0, 1], {1, 2}, 0.0)
+        with pytest.raises(ConfigError):
+            cpsd_fs(phi, [0, 3], set(), 0.0)
+        with pytest.raises(ConfigError):
+            cpsd_fs(phi, [0, -1], {2}, 0.0)
+        with pytest.raises(ConfigError):
+            cpsd_fs(phi, [0, 1], {5}, 0.0)
 
 
 class TestPopulationStructure:
@@ -434,5 +496,16 @@ class TestPsdmCsv:
             "# omega=0.1,n=2,N=4\nrow,col,re,im\n"
             "0,0,1.0,0.0\n0,1,0.0,0.0\n1,0,0.0,0.0\n"
         )
+        with pytest.raises(ConfigError):
+            load_psdm(path)
+
+    def test_out_of_range_index_rejected(self, tmp_path):
+        # a negative index would wrap around to the last row or column
+        path = tmp_path / "bad.csv"
+        header = "# omega=0.1,n=2,N=4\nrow,col,re,im\n"
+        path.write_text(header + "0,0,1.0,0.0\n0,1,0.1,0.0\n1,0,0.1,0.0\n-1,1,2.0,0.0\n")
+        with pytest.raises(ConfigError):
+            load_psdm(path)
+        path.write_text(header + "0,0,1.0,0.0\n0,-1,0.1,0.0\n1,0,0.1,0.0\n1,1,2.0,0.0\n")
         with pytest.raises(ConfigError):
             load_psdm(path)

@@ -194,6 +194,11 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             dag_from_edgelist("p=2\n0 1\n1 0\n")  # cycle
 
+    @pytest.mark.parametrize("text", ["p=3\n0 9\n", "p=3\n0 -1\n", "p=3\n3 0\n"])
+    def test_out_of_range_endpoint_rejected(self, text):
+        with pytest.raises(ConfigError):
+            dag_from_edgelist(text)
+
 
 class TestSources:
     def test_demo_sources(self):

@@ -1,8 +1,11 @@
 """Ordering-and-thresholding reconstruction over population and sample PSDMs.
 
 The ordering oracle below rescans every (node, subset) pair with scalar
-CPSD evaluations and python tuple comparison for the tie-break, so the
-batched search must reproduce it exactly, including ties.
+`cpsd_f` evaluations and python tuple comparison for the tie-break, so the
+incremental scan, which scores only new subsets and factors each one once
+through `cpsd_fs`, must reproduce it exactly, including ties. With
+``fixed_size=False`` the oracle also scans every smaller subset; it is the
+reference for the claim that subsets of size exactly min(|S|, q) suffice.
 """
 
 import json
@@ -78,6 +81,11 @@ class TestParams:
         with pytest.raises(ConfigError):
             order_nodes(np.eye(3, dtype=complex), params)
 
+    def test_only_fixed_size_search_accepted(self):
+        params = ReconstructionParams(q=1, gamma=0.1, omega=0.5)
+        with pytest.raises(ConfigError):
+            order_nodes(np.eye(3, dtype=complex), params, search="all_subsets")
+
     def test_omega_mismatch_with_estimate_rejected(self):
         model = build_model(random_dag(3, 1, seed=1), IID, seed=1)
         est = estimate_psdm(simulate(model, "restart_record", 20, 16, seed=1), 0.5)
@@ -148,16 +156,8 @@ class TestOrdering:
             phi = exact_psdm(model, w)
             params = ReconstructionParams(q=q, gamma=0.1, omega=w)
             fixed, _ = order_nodes(phi, params)
-            full, _ = order_nodes(phi, params, search="all_subsets")
+            full, _ = order_oracle(phi, q, w, fixed_size=False)
             assert fixed == full
-
-    def test_all_subsets_matches_its_oracle(self):
-        model = build_model(random_dag(5, 2, seed=2800), AR1, seed=2801)
-        w = GRID8[2]
-        phi = exact_psdm(model, w)
-        params = ReconstructionParams(q=2, gamma=0.1, omega=w)
-        got = order_nodes(phi, params, search="all_subsets")
-        assert got == order_oracle(phi, 2, w, fixed_size=False)
 
 
 class TestParents:
