@@ -177,7 +177,7 @@ def cpsd_f(psdm, i: int, cond, omega: float) -> CpsdValue:
     return cpsd_fs(psdm, [i], cond, omega)[0]
 
 
-def cpsd_deficit(model: LdsModel, omega_grid, *, ancestral_only: bool = False) -> float:
+def cpsd_deficit(model: LdsModel, omega_grid) -> float:
     """min over (grid omega, node j, qualifying C) of f(j,C,omega) - sigma(omega).
 
     A qualifying C is a subset of nd(j) that misses at least one parent k
@@ -185,22 +185,13 @@ def cpsd_deficit(model: LdsModel, omega_grid, *, ancestral_only: bool = False) -
     the sets that miss k is reached at the largest one, nd(j) minus {k}:
     one Schur complement per edge and frequency, on the population PSDM.
     An edgeless model has an empty minimization domain and is rejected.
-
-    With ``ancestral_only=True`` only ancestral conditioning sets count.
-    An ancestral set that holds a descendant of k also holds k, so the
-    largest ancestral subset of nd(j) that misses k is nd(j) & nd(k),
-    itself ancestral. That restricted minimum provably stays at or above
-    beta^2 * sigma(omega); the unrestricted one (the default, which is what
-    threshold calibration needs, since the ordering search scans
-    non-ancestral subsets too) is positive but can drop below that bound.
+    Non-ancestral sets count, since the ordering search scans them too.
     """
     dag = model.dag
     if not dag.edges:
         raise ConfigError("deficit undefined: model has no edges")
     nd = [structural_queries(dag, v).non_descendants for v in range(model.p)]
-    conds = [
-        (j, nd[j] & nd[k] if ancestral_only else nd[j] - {k}) for k, j in dag.edges
-    ]
+    conds = [(j, nd[j] - {k}) for k, j in dag.edges]
     best = np.inf
     for w in np.atleast_1d(np.asarray(omega_grid, dtype=float)):
         phi = exact_psdm(model, w)

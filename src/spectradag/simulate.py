@@ -12,15 +12,20 @@ x(t) = sum_{k<p} B^k e(t-k). Sampling that form with exactly stationary
 noise yields the stationary process directly, with no burn-in and no
 transient approximation.
 
+One noise generator serves both strategies: a restart-record block draws
+fresh stationary realizations, and a continuous block resumes the one
+realization from the carried AR(1) filter state and p-1 noise steps.
 Generation is blocked to bound memory. Draw order is block-size invariant
 (each restart-record trajectory consumes a contiguous run of normals; the
 continuous realization consumes one sequential stream), so the streaming
 consumer `iter_trajectory_blocks` reproduces `simulate` exactly.
+
+`save_trajectories` stores a set as one array file, trajectories.npy,
+next to a manifest.json of its strategy, sizes, seed and model hash.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,54 +80,31 @@ def _b_powers(b: np.ndarray) -> list[np.ndarray]:
     return powers
 
 
-def _stationary_sd(noise: NoiseSpec) -> float:
-    """Marginal standard deviation of the (scalar) noise process."""
-    if noise.kind == "iid":
-        return float(np.sqrt(noise.sigma_w))
-    return float(np.sqrt(noise.sigma_w / (1.0 - noise.alpha**2)))
+def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None):
+    """(rows, length, p) stationary noise and the AR(1) filter state after it.
 
-
-def _rr_noise_block(noise: NoiseSpec, p: int, rng, rows: int, length: int) -> np.ndarray:
-    """Independent stationary noise paths, one per trajectory row.
-
-    Each row consumes a contiguous run of standard normals, so splitting
-    the rows across blocks never changes the values drawn for a row.
+    With ``zi=None`` every row is a fresh realization: its initial state is
+    drawn from the stationary law just before its own path, so each row
+    consumes a contiguous run of standard normals and splitting rows across
+    blocks never changes a row's values. Passing back the returned state
+    continues the same realizations. IID noise carries no state (None).
     """
     sd = np.sqrt(noise.sigma_w)
     if noise.kind == "iid":
-        return sd * rng.standard_normal((rows, length, p))
+        return sd * rng.standard_normal((rows, length, p)), None
+    if zi is None:
+        z = rng.standard_normal((rows, length + 1, p))
+        sd_stat = float(np.sqrt(noise.sigma_w / (1.0 - noise.alpha**2)))
+        zi = noise.alpha * (sd_stat * z[:, :1, :])
+        w = sd * z[:, 1:, :]
+    else:
+        w = sd * rng.standard_normal((rows, length, p))
+    if length == 0:
+        # lfilter returns a garbage final state for an empty input
+        return w, zi
     from scipy.signal import lfilter  # deferred: the import costs over a second
 
-    z = rng.standard_normal((rows, length + 1, p))
-    e_init = _stationary_sd(noise) * z[:, 0, :]
-    w = sd * z[:, 1:, :]
-    e, _ = lfilter([1.0], [1.0, -noise.alpha], w, axis=1, zi=(noise.alpha * e_init)[:, None, :])
-    return e
-
-
-class _NoiseStream:
-    """Sequential stationary noise rows of one realization, resumable."""
-
-    def __init__(self, noise: NoiseSpec, p: int, rng):
-        self._noise = noise
-        self._p = p
-        self._rng = rng
-        self._zi = None
-
-    def take(self, length: int) -> np.ndarray:
-        if length == 0:
-            return np.zeros((0, self._p))
-        sd = np.sqrt(self._noise.sigma_w)
-        if self._noise.kind == "iid":
-            return sd * self._rng.standard_normal((length, self._p))
-        from scipy.signal import lfilter  # deferred: the import costs over a second
-
-        if self._zi is None:
-            e_init = _stationary_sd(self._noise) * self._rng.standard_normal(self._p)
-            self._zi = (self._noise.alpha * e_init)[None, :]
-        w = sd * self._rng.standard_normal((length, self._p))
-        e, self._zi = lfilter([1.0], [1.0, -self._noise.alpha], w, axis=0, zi=self._zi)
-        return e
+    return lfilter([1.0], [1.0, -noise.alpha], w, axis=1, zi=zi)
 
 
 def _combine(powers, e_full: np.ndarray, offset: int, count: int) -> np.ndarray:
@@ -131,15 +113,6 @@ def _combine(powers, e_full: np.ndarray, offset: int, count: int) -> np.ndarray:
     for k in range(1, len(powers)):
         x += e_full[..., offset - k : offset - k + count, :] @ powers[k].T
     return x
-
-
-def _validate_args(strategy, n, num_samples):
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if num_samples < 1:
-        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
 
 
 def iter_trajectory_blocks(
@@ -152,45 +125,43 @@ def iter_trajectory_blocks(
 ):
     """Yield the trajectory array in (rows, N, p) blocks, bounding memory.
 
+    A restart-record block is ``rows`` fresh realizations of p-1+N noise
+    steps each. A continuous block extends the one realization by rows*N
+    steps after the last p-1 noise steps of the block before it.
     Concatenating the blocks reproduces ``simulate(...).data`` exactly,
     independent of the block size.
     """
-    _validate_args(strategy, n, num_samples)
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    if num_samples < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
     powers = _b_powers(model.b)
     pre = p - 1
+    restart = strategy == "restart_record"
 
-    if strategy == "restart_record":
-        length = pre + big_n
-        rows_budget = max(1, _TARGET_BLOCK_ELEMS // max(length * p, 1))
-        if max_block_rows is not None:
-            rows_budget = min(rows_budget, int(max_block_rows))
-        done = 0
-        while done < n:
-            rows = min(rows_budget, n - done)
-            path = _rr_noise_block(model.noise, p, rng, rows, length)
-            yield _combine(powers, path, pre, big_n)
-            done += rows
-        return
-
-    # continuous: one realization; carry the last p-1 noise rows across blocks
-    stream = _NoiseStream(model.noise, p, rng)
-    carry = stream.take(pre)
-    segs_budget = max(1, _TARGET_BLOCK_ELEMS // max(big_n * p, 1))
+    row_elems = (pre + big_n) * p if restart else big_n * p
+    rows_budget = max(1, _TARGET_BLOCK_ELEMS // row_elems)
     if max_block_rows is not None:
-        segs_budget = min(segs_budget, int(max_block_rows))
+        rows_budget = min(rows_budget, int(max_block_rows))
+    if not restart:
+        carry, zi = _noise(model.noise, rng, 1, pre, p)
     done = 0
     while done < n:
-        segs = min(segs_budget, n - done)
-        count = segs * big_n
-        path = stream.take(count)
-        e_full = np.concatenate([carry, path], axis=0)
-        x = _combine(powers, e_full, pre, count)
-        yield x.reshape(segs, big_n, p)
-        carry = e_full[len(e_full) - pre :]
-        done += segs
+        rows = min(rows_budget, n - done)
+        if restart:
+            e_full, _ = _noise(model.noise, rng, rows, pre + big_n, p)
+        else:
+            path, zi = _noise(model.noise, rng, 1, rows * big_n, p, zi)
+            e_full = np.concatenate([carry, path], axis=1)
+            carry = e_full[:, e_full.shape[1] - pre :]
+        x = _combine(powers, e_full, pre, e_full.shape[1] - pre)
+        yield x.reshape(rows, big_n, p)
+        done += rows
 
 
 def simulate(
@@ -223,18 +194,10 @@ def simulate(
 
 
 def save_trajectories(traj: TrajectorySet, directory, model: LdsModel | None = None) -> None:
-    """Write one CSV per trajectory (columns t,node0..node{p-1}) plus manifest.json."""
+    """Write the (n, N, p) array to trajectories.npy, plus manifest.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for r in range(traj.n):
-        name = f"traj_{r:05d}.csv"
-        names.append(name)
-        with open(directory / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"node{v}" for v in range(traj.p)])
-            for t in range(traj.num_samples):
-                writer.writerow([t] + [repr(float(v)) for v in traj.data[r, t]])
+    np.save(directory / "trajectories.npy", traj.data, allow_pickle=False)
     seed = traj.seed
     if not isinstance(seed, (int, str, list, tuple, type(None))):
         seed = str(seed)
@@ -246,21 +209,24 @@ def save_trajectories(traj: TrajectorySet, directory, model: LdsModel | None = N
         "N": traj.num_samples,
         "seed": seed,
         "model_hash": model_hash(model) if model is not None else None,
-        "files": names,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_trajectories(directory) -> tuple[TrajectorySet, dict]:
-    """Read a directory written by `save_trajectories`."""
+    """Read a directory written by `save_trajectories`.
+
+    A missing file raises OSError; a malformed manifest or array raises
+    ConfigError.
+    """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
-        rows = []
-        for name in manifest["files"]:
-            table = np.loadtxt(directory / name, delimiter=",", skiprows=1, ndmin=2)
-            rows.append(table[:, 1:])
-        data = np.stack(rows, axis=0)
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"manifest in {directory} is not a JSON object")
+        data = np.load(directory / "trajectories.npy", allow_pickle=False)
+        if data.dtype.kind not in "fiu":
+            raise ConfigError(f"trajectories.npy in {directory} holds {data.dtype}, not reals")
         seed = manifest.get("seed")
         traj = TrajectorySet(
             strategy=manifest["strategy"],
@@ -269,6 +235,6 @@ def load_trajectories(directory) -> tuple[TrajectorySet, dict]:
             data=data,
             seed=tuple(seed) if isinstance(seed, list) else seed,
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, EOFError) as exc:
         raise ConfigError(f"malformed trajectory directory {directory}: {exc}") from exc
     return traj, manifest

@@ -164,6 +164,38 @@ def test_estimate_missing_dir_exit_code_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "manifest", ["[]", '{"strategy": "continuous", "n": null, "N": 8}'], ids=["list", "n-null"]
+)
+def test_estimate_malformed_manifest_exit_code_1(tmp_path, manifest):
+    model_path, _ = gen_model_files(tmp_path, p=3, q=1, seed=5)
+    traj_dir = tmp_path / "traj"
+    rc = run_cli(
+        "simulate", "--model", str(model_path), "--strategy", "continuous",
+        "--n", "3", "--num-samples", "8", "--seed", "1", "--out-dir", str(traj_dir),
+    )
+    assert rc == 0
+    (traj_dir / "manifest.json").write_text(manifest)
+    out = tmp_path / "x.csv"
+    rc = run_cli("estimate", "--traj-dir", str(traj_dir), "--omega-index", "1", "--out", str(out))
+    assert rc == 1
+    assert not out.exists()
+
+
+def test_estimate_per_trajectory_csv_directory_exit_code_3(tmp_path):
+    # the one-CSV-per-trajectory layout has no trajectories.npy to read
+    traj_dir = tmp_path / "traj"
+    traj_dir.mkdir()
+    manifest = {"strategy": "continuous", "n": 1, "N": 2, "seed": 1,
+                "model_hash": None, "files": ["traj_00000.csv"]}
+    (traj_dir / "manifest.json").write_text(json.dumps(manifest))
+    (traj_dir / "traj_00000.csv").write_text("t,node0\n0,0.5\n1,-0.25\n")
+    out = tmp_path / "x.csv"
+    rc = run_cli("estimate", "--traj-dir", str(traj_dir), "--omega-index", "1", "--out", str(out))
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_removed_sampler_and_parent_flags_exit_code_1(tmp_path):
     # the recursion sampler, the optset parent rule and the search modes are
     # gone, with their flags

@@ -307,33 +307,28 @@ class TestDeficit:
             )
 
     def test_positive_and_dominated_by_ancestral(self):
-        # the unrestricted deficit is positive and never exceeds the
-        # ancestral-conditioning-set restriction of the same minimum
+        # the deficit is positive and never exceeds the same minimum taken
+        # over ancestral conditioning sets only
         for k in range(20):
             noise = IID if k % 2 else AR1
             model = build_model(random_dag(6, 2, seed=1400 + k), noise, seed=1500 + k)
             delta = cpsd_deficit(model, GRID8)
-            delta_anc = cpsd_deficit(model, GRID8, ancestral_only=True)
+            delta_anc = deficit_oracle(model, GRID8, ancestral_only=True)
             assert 0 < delta <= delta_anc + 1e-12
 
     def test_ancestral_deficit_beta_sq_sigma_floor(self):
         # provable form of the separation floor: over ancestral conditioning
         # sets, f - sigma >= beta^2 * sigma(omega) pointwise, hence the
-        # restricted deficit is >= beta^2 * min sigma
+        # restricted deficit is >= beta^2 * min sigma. The unrestricted
+        # deficit, which threshold calibration uses because the ordering
+        # search scans non-ancestral sets too, is positive but can drop
+        # below this floor.
         for k in range(20):
             noise = IID if k % 2 else AR1
             model = build_model(random_dag(6, 2, seed=1400 + k), noise, seed=1500 + k)
             sigma_min = float(np.min(noise.psd(GRID8)))
-            delta_anc = cpsd_deficit(model, GRID8, ancestral_only=True)
+            delta_anc = deficit_oracle(model, GRID8, ancestral_only=True)
             assert delta_anc >= model.constants.beta**2 * sigma_min - 1e-9
-
-    def test_ancestral_flag_matches_oracle(self):
-        grid = GRID8[::2]
-        for model in ORACLE_MODELS:
-            got = cpsd_deficit(model, grid, ancestral_only=True)
-            assert got == pytest.approx(
-                deficit_oracle(model, grid, ancestral_only=True), abs=1e-10
-            )
 
     def test_edgeless_model_rejected(self):
         model = build_model(Dag(p=3, edges=frozenset(), order=(0, 1, 2)), IID, seed=1)

@@ -118,6 +118,13 @@ def test_config_strategy_normalization():
         dict(noise=("iid", "iid")),
         dict(gamma_override=0.0),
         dict(gamma_override=-2.0),
+        dict(p=6.0),
+        dict(q=1.0),
+        dict(n_grid=(20, 200.7)),
+        dict(num_samples=16.0),
+        dict(omega_index=3.5),
+        dict(trials=2.0),
+        dict(seed=1.5),
     ],
 )
 def test_config_rejects_bad_values(overrides):

@@ -4,6 +4,7 @@ zero-init recursion written in the tests, independently of the package."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -66,14 +67,39 @@ class TestDeterminism:
 
     def test_block_iterator_matches_simulate(self):
         # the streaming generator must reproduce simulate()'s draws exactly
-        model = build_model(random_dag(3, 1, seed=2), AR1, seed=2)
-        for strategy in ("restart_record", "continuous"):
-            full = simulate(model, strategy, 50, 8, seed=11)
-            blocks = list(iter_trajectory_blocks(model, strategy, 50, 8, seed=11,
-                                                 max_block_rows=7))
-            stacked = np.concatenate(blocks, axis=0)
-            np.testing.assert_allclose(stacked, full.data, rtol=0, atol=1e-12)
-            assert max(b.shape[0] for b in blocks) <= 7
+        for p in (1, 3):
+            for noise in (IID, AR1):
+                model = build_model(random_dag(p, min(1, p - 1), seed=2), noise, seed=2)
+                for strategy in ("restart_record", "continuous"):
+                    full = simulate(model, strategy, 50, 8, seed=11)
+                    blocks = list(iter_trajectory_blocks(model, strategy, 50, 8, seed=11,
+                                                         max_block_rows=7))
+                    np.testing.assert_array_equal(np.concatenate(blocks, axis=0), full.data)
+                    assert max(b.shape[0] for b in blocks) <= 7
+
+    @pytest.mark.parametrize(
+        "p, noise, strategy, digest",
+        [
+            (1, AR1, "continuous",
+             "b2876a20b73e427dc1bd92a2bb55d72207bdc93e26ff5176fff75a3e1f176281"),
+            (1, IID, "restart_record",
+             "0935cb5fbefc18f510c9b9c17c7999af8a0183b8ccde4211f20a42aeeaecbaef"),
+            (4, AR1, "restart_record",
+             "80a11fd15ccd06e5bb0f2de3bfae81ba282bccafacea76cd77bcaec2da9550e8"),
+            (4, IID, "continuous",
+             "c3811efd1a6501cf8c63cd7f99ef155022717dd344ba5d622a386977491a3dec"),
+            (6, AR1, "continuous",
+             "c2306aa7ff23c7a2dac8b4891b60af83a048dc99d5b47afa563ab348ce99df20"),
+        ],
+        ids=["p1-ar1-continuous", "p1-iid-restart", "p4-ar1-restart", "p4-iid-continuous",
+             "p6-ar1-continuous"],
+    )
+    def test_golden_digest(self, p, noise, strategy, digest):
+        # the seeded draws are a contract: a change to draw or arithmetic
+        # order changes these digests
+        model = build_model(random_dag(p, min(2, p - 1), seed=p), noise, seed=p)
+        data = simulate(model, strategy, 7, 8, seed=2024).data
+        assert hashlib.sha256(np.round(data, 10).tobytes()).hexdigest() == digest
 
 
 class TestDistribution:
@@ -155,11 +181,8 @@ class TestTrajectoryIo:
         model = build_model(random_dag(3, 1, seed=8), IID, seed=8)
         traj = simulate(model, "restart_record", n=4, num_samples=6, seed=61)
         save_trajectories(traj, tmp_path, model=model)
-        files = sorted(f.name for f in tmp_path.iterdir())
-        assert "manifest.json" in files
-        assert sum(f.startswith("traj_") for f in files) == 4
         back, manifest = load_trajectories(tmp_path)
-        np.testing.assert_allclose(back.data, traj.data, atol=1e-12)
+        np.testing.assert_array_equal(back.data, traj.data)
         assert back.strategy == traj.strategy
         assert manifest["n"] == 4 and manifest["N"] == 6
         assert len(manifest["model_hash"]) == 64
@@ -177,14 +200,26 @@ class TestTrajectoryIo:
         back, _ = load_trajectories(tmp_path)
         np.testing.assert_allclose(back.data, traj.data, atol=1e-12)
 
-    def test_csv_layout(self, tmp_path):
+    def test_array_layout(self, tmp_path):
+        # one (n, N, p) array file next to the manifest, whatever n is
         model = build_model(edgeless(2), IID, seed=0)
         traj = simulate(model, "continuous", n=2, num_samples=3, seed=71)
         save_trajectories(traj, tmp_path)
-        text = (tmp_path / "traj_00000.csv").read_text().splitlines()
-        assert text[0] == "t,node0,node1"
-        assert len(text) == 4  # header + 3 time steps
-        assert text[1].split(",")[0] == "0"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "manifest.json",
+            "trajectories.npy",
+        ]
+        np.testing.assert_array_equal(np.load(tmp_path / "trajectories.npy"), traj.data)
+        assert "files" not in json.loads((tmp_path / "manifest.json").read_text())
+
+    def test_complex_array_rejected(self, tmp_path):
+        # casting to float would silently drop the imaginary part
+        model = build_model(edgeless(2), IID, seed=0)
+        traj = simulate(model, "continuous", n=2, num_samples=3, seed=71)
+        save_trajectories(traj, tmp_path)
+        np.save(tmp_path / "trajectories.npy", traj.data * (1 + 1j))
+        with pytest.raises(ConfigError, match="complex"):
+            load_trajectories(tmp_path)
 
 
 class TestTrajectorySetValidation:
