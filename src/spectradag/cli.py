@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,8 @@ def _resolve_omega(args, num_samples: int) -> float:
     if given_index == given_omega:
         raise ConfigError("exactly one of --omega-index / --omega is required")
     if given_omega:
+        if not math.isfinite(args.omega):
+            raise ConfigError(f"omega must be finite, got {args.omega}")
         return float(args.omega)
     index = int(args.omega_index)
     if not (0 <= index < num_samples):

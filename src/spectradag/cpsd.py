@@ -233,6 +233,8 @@ def load_psdm(path) -> PsdmEstimate:
             raise ConfigError(f"missing metadata header in PSDM file {path}")
         meta = dict(item.split("=", 1) for item in text[0].lstrip("# ").split(","))
         omega = float(meta["omega"])
+        if not np.isfinite(omega):
+            raise ConfigError(f"PSDM file {path} has a non-finite omega={omega}")
         n = int(meta["n"])
         num_samples = int(meta["N"])
         if len(text) < 2 or text[1].strip() != "row,col,re,im":
@@ -249,6 +251,8 @@ def load_psdm(path) -> PsdmEstimate:
         matrix = np.zeros((p, p), dtype=complex)
         for (r, c), v in seen.items():
             matrix[r, c] = v
+        if not np.all(np.isfinite(matrix)):
+            raise ConfigError(f"PSDM file {path} has a non-finite entry")
     except (KeyError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed PSDM file {path}: {exc}") from exc
     return PsdmEstimate(omega=omega, matrix=matrix, n=n, num_samples=num_samples)

@@ -51,8 +51,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ConfigError(f"noise kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
-        if not self.sigma_w > 0:
-            raise ConfigError(f"sigma_w must be > 0, got {self.sigma_w}")
+        if not (self.sigma_w > 0 and np.isfinite(self.sigma_w)):
+            raise ConfigError(f"sigma_w must be finite and > 0, got {self.sigma_w}")
         if self.kind == "iid" and self.alpha != 0.0:
             raise ConfigError("IID noise must have alpha = 0")
         if not (0.0 <= self.alpha < 1.0):

@@ -12,11 +12,13 @@ Two phases, both driven by the conditional PSD f(i, C, omega):
    removing it from the conditioning set, the full ordered prefix, raises
    f by at least gamma.
 
-Every f evaluation goes through `cpsd_fs` (or `cpsd_f`, its bitwise-equal
-one-node case) — one arithmetic path for search, thresholding, and any
-external audit, so ties resolve identically everywhere. Ties in the argmin
-are broken by (f value, node id, lexicographic C), making results
-reproducible across runs.
+The ordering evaluates f through `cpsd_fs`, so its values and exact-float
+ties are the bits an external `cpsd_fs`/`cpsd_f` audit computes. Ties in
+the argmin are broken by (f value, node id, lexicographic C), making
+results reproducible across runs. The parent scan reads f given each
+prefix, and given each prefix minus one candidate, off one inverse of Phi
+over the prefix plus the node. Its f values and drops match `cpsd_f` up
+to rounding, and a ridge rescue there is decided on that larger block.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .cpsd import PsdmEstimate, cpsd_f, cpsd_fs
+from .cpsd import PsdmEstimate, cpsd_fs
+from .cpsd import cpsd_f  # noqa: F401  (bench/tracing.py patches reconstruct.cpsd_f)
 from .errors import ConfigError
 from .graphs import Dag
-from .linalg import require_hermitian
+from .linalg import hermitian_solve, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,18 @@ def _parent_scan(matrix, order, params):
         cset = frozenset(order[:pos])
         if not cset:
             continue
-        f_full = cpsd_f(matrix, node, cset, params.omega).value
+        # inv, the inverse of Phi over prefix + [node], gives f(node|S) =
+        # 1/inv_ii, and f(node|S\{j}) = 1/(inv_ii - |inv_ij|^2/inv_jj)
+        idx = sorted(cset) + [node]
+        inv = hermitian_solve(matrix[np.ix_(idx, idx)], np.eye(len(idx)))
+        inv_diag = inv.diagonal().real
+        inv_ii = inv_diag[-1]
+        f_full = float(1.0 / inv_ii)
+        f_minus_all = 1.0 / (inv_ii - np.abs(inv[:-1, -1]) ** 2 / inv_diag[:-1])
         fvals.append((node, cset, f_full))
         cands = []
-        for j in sorted(cset):
+        for j, f_minus in zip(idx[:-1], f_minus_all.tolist()):
             reduced = cset - {j}
-            f_minus = cpsd_f(matrix, node, reduced, params.omega).value
             fvals.append((node, reduced, f_minus))
             d = abs(f_full - f_minus)
             drops.append((node, j, d))

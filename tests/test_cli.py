@@ -84,6 +84,13 @@ def test_gen_bad_args_exit_code_1():
     assert run_cli() == 1
 
 
+def test_gen_infinite_noise_variance_exit_code_1(tmp_path):
+    model_path = tmp_path / "m.json"
+    rc = run_cli("gen", "--p", "3", "--q", "1", "--sigma-w", "inf", "--out-model", str(model_path))
+    assert rc == 1
+    assert not model_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / estimate
 
@@ -149,6 +156,28 @@ def test_estimate_needs_exactly_one_omega_form(tmp_path):
         )
         == 1
     )
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_non_finite_omega_exit_code_1(tmp_path, omega):
+    model_path, _ = gen_model_files(tmp_path, p=3, q=1, seed=5)
+    traj_dir = tmp_path / "traj"
+    rc = run_cli(
+        "simulate", "--model", str(model_path), "--strategy", "continuous",
+        "--n", "3", "--num-samples", "8", "--seed", "1", "--out-dir", str(traj_dir),
+    )
+    assert rc == 0
+    out = tmp_path / "out.txt"
+    commands = [
+        ["estimate", "--traj-dir", str(traj_dir), "--out", str(out)],
+        ["reconstruct", "--traj-dir", str(traj_dir), "--q", "1", "--gamma", "0.1",
+         "--out-dag", str(out)],
+        ["tail", "--p", "2", "--q", "1", "--n", "300", "--num-samples", "16",
+         "--trials", "100", "--seed", "9", "--out", str(out)],
+    ]
+    for argv in commands:
+        assert run_cli(*argv, "--omega", omega) == 1, argv[0]
+        assert not out.exists(), argv[0]
 
 
 def test_estimate_missing_dir_exit_code_3(tmp_path):

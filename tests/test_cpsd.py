@@ -494,6 +494,26 @@ class TestPsdmCsv:
         with pytest.raises(ConfigError):
             load_psdm(path)
 
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+    def test_non_finite_omega_rejected(self, tmp_path, omega):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"# omega={omega},n=2,N=4\nrow,col,re,im\n"
+            "0,0,1.0,0.0\n0,1,0.1,0.0\n1,0,0.1,0.0\n1,1,2.0,0.0\n"
+        )
+        with pytest.raises(ConfigError, match="non-finite omega"):
+            load_psdm(path)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# omega=0.5,n=2,N=4\nrow,col,re,im\n"
+            f"0,0,1.0,0.0\n0,1,{entry},0.0\n1,0,{entry},0.0\n1,1,2.0,0.0\n"
+        )
+        with pytest.raises(ConfigError, match="non-finite entry"):
+            load_psdm(path)
+
     def test_out_of_range_index_rejected(self, tmp_path):
         # a negative index would wrap around to the last row or column
         path = tmp_path / "bad.csv"

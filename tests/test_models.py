@@ -68,6 +68,9 @@ class TestNoiseSpec:
             NoiseSpec(kind="white", sigma_w=0.5)
         with pytest.raises(ConfigError):
             NoiseSpec(kind="iid", sigma_w=0.0)
+        for sigma_w in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                NoiseSpec(kind="iid", sigma_w=sigma_w)
         with pytest.raises(ConfigError):
             NoiseSpec(kind="ar1", sigma_w=0.5, alpha=1.0)
         with pytest.raises(ConfigError):

@@ -60,6 +60,24 @@ def order_oracle(matrix, q, omega, fixed_size=True):
     return tuple(order), tuple(optsets)
 
 
+def parent_scan_oracle(matrix, order, q, gamma, omega):
+    """Scalar parent scan: every drop from two `cpsd_f` Schur solves."""
+    drops, edges = [], set()
+    for pos, node in enumerate(order):
+        prefix = frozenset(order[:pos])
+        if not prefix:
+            continue
+        f_full = cpsd_f(matrix, node, prefix, omega).value
+        cands = []
+        for k in sorted(prefix):
+            d = abs(f_full - cpsd_f(matrix, node, prefix - {k}, omega).value)
+            drops.append((node, k, d))
+            if d >= gamma:
+                cands.append((-d, k))
+        edges.update((k, node) for _, k in sorted(cands)[:q])
+    return tuple(drops), frozenset(edges)
+
+
 def is_topological_for(dag, order):
     pos = {v: k for k, v in enumerate(order)}
     return all(pos[j] < pos[i] for j, i in dag.edges)
@@ -188,6 +206,73 @@ class TestParents:
             params = ReconstructionParams(q=1, gamma=1e-6, omega=w)
             result = reconstruct(exact_psdm(model, w), params)
             assert max_in_degree(result.graph) <= 1
+
+
+class TestParentScanReference:
+    """The inverse-based parent scan against `parent_scan_oracle`.
+
+    Drops agree to a relative 1e-9 of trace(Phi)/p and the edge sets are
+    equal, on population PSDMs and on sample PSDMs at n=500 and n=8000.
+    """
+
+    @staticmethod
+    def _cases():
+        for k in range(12):
+            p, q = 8 + k % 7, 1 + k % 3
+            noise = IID if k % 2 else AR1
+            model = build_model(random_dag(p, q, seed=4100 + k), noise, seed=4200 + k)
+            w = float(GRID8[1 + k % 7])
+            gamma = default_gamma(model, [w])
+            yield f"population-{k}", exact_psdm(model, w), q, gamma, w
+            for n in (500, 8000):
+                est = sample_psdm(model, "restart_record", n, 16, w, seed=4300 + k)
+                yield f"n{n}-{k}", est.matrix, q, gamma, w
+
+    def test_drops_and_edges_match_scalar_oracle(self):
+        for name, matrix, q, gamma, w in self._cases():
+            scale = np.trace(matrix).real / matrix.shape[0]
+            result = reconstruct(matrix, ReconstructionParams(q=q, gamma=gamma, omega=w))
+            drops, edges = parent_scan_oracle(matrix, result.order, q, gamma, w)
+            assert [d[:2] for d in result.drops] == [d[:2] for d in drops], name
+            got = np.array([d[2] for d in result.drops])
+            want = np.array([d[2] for d in drops])
+            assert np.max(np.abs(got - want)) <= 1e-9 * scale, name
+            assert result.graph.edges == edges, name
+
+    def test_rank_deficient_sample_psdm(self):
+        # n < p trajectories leave Phi singular, so the ridge rescue engages;
+        # it is decided on prefix + [node] here and on the prefix alone in the
+        # oracle, so the drops differ by more than rounding (up to ~3.2e-8 of
+        # trace(Phi)/p on these cases) while the graphs stay equal
+        for n in range(4, 10):
+            model = build_model(random_dag(10, 2, seed=4400 + n), IID, seed=4500 + n)
+            w = float(GRID8[3])
+            est = sample_psdm(model, "restart_record", n, 16, w, seed=4600 + n)
+            gamma = default_gamma(model, [w])
+            result = reconstruct(est, ReconstructionParams(q=2, gamma=gamma, omega=w))
+            drops, edges = parent_scan_oracle(est.matrix, result.order, 2, gamma, w)
+            scale = np.trace(est.matrix).real / 10
+            got = np.array([d[2] for d in result.drops])
+            want = np.array([d[2] for d in drops])
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-6 * scale, n
+            assert result.graph.edges == edges, n
+
+    def test_parent_scan_calls_no_schur_solve(self, monkeypatch):
+        import spectradag.reconstruct as rec
+
+        model = build_model(random_dag(8, 2, seed=4700), IID, seed=4700)
+        w = float(GRID8[2])
+        phi = exact_psdm(model, w)
+        params = ReconstructionParams(q=2, gamma=default_gamma(model, [w]), omega=w)
+        order, optsets = order_nodes(phi, params)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the parent scan called a Schur solve")
+
+        monkeypatch.setattr(rec, "cpsd_f", forbidden)
+        monkeypatch.setattr(rec, "cpsd_fs", forbidden)
+        assert graph_equal(identify_parents(phi, order, optsets, params), model.dag)
 
 
 class TestReconstruct:
