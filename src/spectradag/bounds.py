@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 
-KINDS = ("recovery_lower", "recovery_upper", "trajectory_length", "estimation_tail")
-
 # the union bound behind the sufficient-sample constant has three terms
 _UNION_TERMS = 3.0
 
@@ -106,6 +104,9 @@ _CALCULATORS = {
     "trajectory_length": (min_trajectory_length, ("c_decay", "rho", "epsilon1")),
     "estimation_tail": (psdm_tail_bound, ("t", "n", "p", "m_bound")),
 }
+KINDS = tuple(_CALCULATORS)
+# every calculator input once, in first-use order
+INPUT_KEYS = tuple(dict.fromkeys(k for _, keys in _CALCULATORS.values() for k in keys))
 
 
 def build_report(kind: str, inputs: dict) -> BoundReport:

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 configuration error (including bad flags), 2
 numerical failure beyond rescue, 3 I/O error.
 
 `gen --seed S --trial T` reproduces exactly the model that `experiment`
-with root seed S builds for trial T of the same noise kind, so any
-experiment cell can be replayed piecewise from the shell.
+with root seed S builds for trial T of the same noise kind (both call
+`experiments.trial_model`), so any experiment cell can be replayed
+piecewise from the shell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import build_report, report_to_json
+from .bounds import INPUT_KEYS, build_report, report_to_json
 from .cpsd import estimate_psdm, load_psdm, save_psdm
 from .errors import ConfigError, NumericalError
 from .experiments import (
@@ -26,26 +27,12 @@ from .experiments import (
     run_experiment,
     tail_experiment,
     tail_to_csv,
+    trial_model,
 )
-from .graphs import dag_to_edgelist, random_dag
-from .models import NoiseSpec, build_model, model_from_json, model_to_json
+from .graphs import dag_to_edgelist
+from .models import NoiseSpec, model_from_json, model_to_json
 from .reconstruct import ReconstructionParams, audit_json, reconstruct
-from .seeding import NOISE_CODES, STREAM_MODEL, seed_path
 from .simulate import STRATEGIES, load_trajectories, save_trajectories, simulate
-
-_BOUND_INPUT_KEYS = (
-    "p",
-    "q",
-    "n",
-    "t",
-    "beta",
-    "m_bound",
-    "delta",
-    "epsilon1",
-    "epsilon2",
-    "c_decay",
-    "rho",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,10 +88,7 @@ def _emit(text: str, path) -> None:
 def _cmd_gen(args) -> None:
     if args.seed < 0 or args.trial < 0:
         raise ConfigError("seed and trial must be nonnegative")
-    noise = _noise_from_flags(args)
-    code = NOISE_CODES[noise.kind]
-    dag = random_dag(args.p, args.q, seed_path(args.seed, STREAM_MODEL, code, args.trial, 0))
-    model = build_model(dag, noise, seed_path(args.seed, STREAM_MODEL, code, args.trial, 1))
+    model = trial_model(args.p, args.q, _noise_from_flags(args), args.seed, args.trial)
     _emit(model_to_json(model), args.out_model)
     if args.out_dag is not None:
         _emit(dag_to_edgelist(model.dag), args.out_dag)
@@ -185,7 +169,7 @@ def _cmd_tail(args) -> None:
 def _cmd_bounds(args) -> None:
     inputs = {
         key: getattr(args, key)
-        for key in _BOUND_INPUT_KEYS
+        for key in INPUT_KEYS
         if getattr(args, key) is not None
     }
     print(report_to_json(build_report(args.kind, inputs)))
@@ -270,17 +254,9 @@ def build_parser() -> _Parser:
 
     bnd = subs.add_parser("bounds", help="evaluate a bound calculator -> JSON")
     bnd.add_argument("--kind", required=True)
-    bnd.add_argument("--p", type=int, default=None)
-    bnd.add_argument("--q", type=int, default=None)
-    bnd.add_argument("--n", type=int, default=None)
-    bnd.add_argument("--t", type=float, default=None)
-    bnd.add_argument("--beta", type=float, default=None)
-    bnd.add_argument("--m-bound", type=float, default=None)
-    bnd.add_argument("--delta", type=float, default=None)
-    bnd.add_argument("--epsilon1", type=float, default=None)
-    bnd.add_argument("--epsilon2", type=float, default=None)
-    bnd.add_argument("--c-decay", type=float, default=None)
-    bnd.add_argument("--rho", type=float, default=None)
+    for key in INPUT_KEYS:
+        cast = int if key in ("p", "q", "n") else float
+        bnd.add_argument("--" + key.replace("_", "-"), type=cast, default=None)
     bnd.set_defaults(func=_cmd_bounds)
 
     return parser

@@ -4,6 +4,8 @@ Stream derivation contract (pinned by the test suite's inline oracle):
 
 - model for (noise kind, trial):   graph   <- (seed, STREAM_MODEL, kind_code, trial, 0)
                                    weights <- (seed, STREAM_MODEL, kind_code, trial, 1)
+  `trial_model` is the one implementation of these two streams; the
+  experiment, the tail table and `spectradag gen` all build models with it.
 - recovery data for a cell:        (seed, STREAM_DATA, kind_code, trial, strategy_code, n)
 - tail replicate r:                (seed, STREAM_TAIL, strategy_code, r)
 
@@ -12,9 +14,10 @@ comparisons), while every data draw is independent. Execution is sequential;
 because each job's stream is derived, not consumed in order, results do not
 depend on scheduling, and a parallel runner could produce the same records.
 
-`run_experiment` measures wall time per cell by default. Byte-identical CSV
-output across runs requires `zero_wall_times=True` (the CLI does this unless
-asked for timings).
+`run_experiment` measures wall time per cell by default: the cell's sampling
+and reconstruction, not the models and thresholds built before a noise
+kind's first cell. Byte-identical CSV output across runs requires
+`zero_wall_times=True` (the CLI does this unless asked for timings).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,20 +53,6 @@ EXPERIMENT_CSV_HEADER = (
 )
 TAIL_CSV_HEADER = "t,empirical_restart_record,empirical_continuous,bound"
 TAIL_GRID_POINTS = 20
-
-_CONFIG_FIELDS = (
-    "p",
-    "q",
-    "n_grid",
-    "noise",
-    "strategies",
-    "num_samples",
-    "omega_index",
-    "trials",
-    "seed",
-    "gamma_override",
-)
-
 
 def _as_noise(value) -> NoiseSpec:
     if isinstance(value, NoiseSpec):
@@ -164,23 +153,11 @@ class ExperimentConfig:
         return 2.0 * np.pi * self.omega_index / self.num_samples
 
 
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def config_to_json(config: ExperimentConfig) -> str:
-    doc = {
-        "p": config.p,
-        "q": config.q,
-        "n_grid": list(config.n_grid),
-        "noise": [
-            {"kind": s.kind, "sigma_w": s.sigma_w, "alpha": s.alpha}
-            for s in config.noise
-        ],
-        "strategies": list(config.strategies),
-        "num_samples": config.num_samples,
-        "omega_index": config.omega_index,
-        "trials": config.trials,
-        "seed": config.seed,
-        "gamma_override": config.gamma_override,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(asdict(config), indent=2, sort_keys=True)
 
 
 def config_from_mapping(doc: dict) -> ExperimentConfig:
@@ -250,43 +227,45 @@ def resolve_gamma(model, omega: float, override: float | None = None) -> float:
     return default_gamma(model, [float(omega)])
 
 
+def trial_model(p: int, q: int, noise, seed: int, trial: int):
+    """The model that trial `trial` of noise kind `noise` uses under root `seed`."""
+    noise = _as_noise(noise)
+    code = NOISE_CODES[noise.kind]
+    dag = random_dag(p, q, seed_path(seed, STREAM_MODEL, code, trial, 0))
+    return build_model(dag, noise, seed_path(seed, STREAM_MODEL, code, trial, 1))
+
+
 def run_experiment(
     config: ExperimentConfig, *, zero_wall_times: bool = False
 ) -> list[ExperimentRecord]:
     """All (noise, strategy, n) cells of the campaign, in deterministic order.
 
-    Models (and their thresholds) are built once per (noise, trial) and
-    reused across every strategy and trajectory count.
+    Each noise kind's models and thresholds are built once, before its
+    cells, and reused across every strategy and trajectory count.
     """
     omega = config.omega
-    cache: dict[tuple[int, int], tuple] = {}
     records = []
     for noise in config.noise:
         code = NOISE_CODES[noise.kind]
+        models = [
+            trial_model(config.p, config.q, noise, config.seed, trial)
+            for trial in range(config.trials)
+        ]
+        params = [
+            ReconstructionParams(
+                q=config.q,
+                gamma=resolve_gamma(model, omega, config.gamma_override),
+                omega=omega,
+            )
+            for model in models
+        ]
         for strategy in config.strategies:
             strat_code = STRATEGY_CODES[strategy]
             for n in config.n_grid:
                 start = time.perf_counter()
                 successes = 0
                 shd_total = 0
-                for trial in range(config.trials):
-                    key = (code, trial)
-                    if key not in cache:
-                        dag = random_dag(
-                            config.p,
-                            config.q,
-                            seed_path(config.seed, STREAM_MODEL, code, trial, 0),
-                        )
-                        model = build_model(
-                            dag,
-                            noise,
-                            seed_path(config.seed, STREAM_MODEL, code, trial, 1),
-                        )
-                        cache[key] = (
-                            model,
-                            resolve_gamma(model, omega, config.gamma_override),
-                        )
-                    model, gamma = cache[key]
+                for trial, (model, trial_params) in enumerate(zip(models, params)):
                     est = sample_psdm(
                         model,
                         strategy,
@@ -297,12 +276,9 @@ def run_experiment(
                             config.seed, STREAM_DATA, code, trial, strat_code, n
                         ),
                     )
-                    result = reconstruct(
-                        est,
-                        ReconstructionParams(q=config.q, gamma=gamma, omega=omega),
-                    )
-                    successes += int(graph_equal(result.graph, model.dag))
-                    shd_total += structural_hamming(result.graph, model.dag)
+                    graph = reconstruct(est, trial_params).graph
+                    successes += int(graph_equal(graph, model.dag))
+                    shd_total += structural_hamming(graph, model.dag)
                 elapsed_ms = (
                     0.0 if zero_wall_times else (time.perf_counter() - start) * 1000.0
                 )
@@ -325,28 +301,20 @@ def run_experiment(
     return records
 
 
-def records_to_csv(records, path) -> None:
-    lines = [EXPERIMENT_CSV_HEADER]
-    for r in records:
+def _write_rows(path, header: str, rows) -> None:
+    """One CSV line per dataclass row: floats as repr(float(v)), the rest as str(v)."""
+    lines = [header]
+    for row in rows:
         lines.append(
             ",".join(
-                [
-                    str(r.p),
-                    str(r.q),
-                    r.noise,
-                    r.strategy,
-                    str(r.num_samples),
-                    str(r.omega_index),
-                    str(r.n),
-                    str(r.trials),
-                    str(r.success_count),
-                    repr(float(r.empirical_recovery)),
-                    repr(float(r.mean_shd)),
-                    repr(float(r.wall_time_ms)),
-                ]
+                repr(float(v)) if isinstance(v, float) else str(v) for v in astuple(row)
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def records_to_csv(records, path) -> None:
+    _write_rows(path, EXPERIMENT_CSV_HEADER, records)
 
 
 @dataclass(frozen=True)
@@ -398,10 +366,7 @@ def tail_experiment(
     """
     if trials < 100:
         raise ConfigError(f"tail estimation needs trials >= 100, got {trials}")
-    noise = _as_noise(noise)
-    code = NOISE_CODES[noise.kind]
-    dag = random_dag(p, q, seed_path(seed, STREAM_MODEL, code, 0, 0))
-    model = build_model(dag, noise, seed_path(seed, STREAM_MODEL, code, 0, 1))
+    model = trial_model(p, q, noise, seed, 0)
     devs = {
         strategy: tail_deviations(
             model,
@@ -431,16 +396,4 @@ def tail_experiment(
 
 
 def tail_to_csv(rows, path) -> None:
-    lines = [TAIL_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(r.t)),
-                    repr(float(r.empirical_restart_record)),
-                    repr(float(r.empirical_continuous)),
-                    repr(float(r.bound)),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, TAIL_CSV_HEADER, rows)

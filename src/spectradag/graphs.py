@@ -19,8 +19,8 @@ class Dag:
     """Directed acyclic graph over nodes 0..p-1 with a topological order.
 
     Construction validates everything: edge endpoints in range, no self
-    loops, `order` a permutation consistent with every edge, and (checked
-    independently of the order field) acyclicity by depth-first search.
+    loops, and `order` a permutation consistent with every edge. Positions
+    in `order` then rise along every path, so no cycle can pass.
     """
 
     p: int
@@ -40,35 +40,6 @@ class Dag:
                 raise ConfigError(f"self loop on node {j}")
             if pos[j] >= pos[i]:
                 raise ConfigError(f"order violates edge {j} -> {i}")
-        if _has_cycle(self.p, self.edges):
-            raise ConfigError("graph contains a cycle")
-
-
-def _has_cycle(p: int, edges) -> bool:
-    children: dict[int, list[int]] = {v: [] for v in range(p)}
-    for j, i in edges:
-        children[j].append(i)
-    state = [0] * p  # 0 unvisited, 1 on stack, 2 done
-    for root in range(p):
-        if state[root]:
-            continue
-        stack = [(root, iter(children[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return True
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(children[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return False
 
 
 @dataclass(frozen=True)
@@ -136,12 +107,9 @@ def structural_queries(g: Dag, node: int) -> ParentSetQuery:
     """Parents, ancestors, and non-descendants of `node` by graph traversal."""
     if not (0 <= node < g.p):
         raise ConfigError(f"node {node} out of range for p={g.p}")
-    parents = _parent_map(g)[node]
-    # ancestors: reachability through reversed edges
-    rev = {v: set() for v in range(g.p)}
-    for j, i in g.edges:
-        rev[i].add(j)
-    ancestors = _reachable(rev, node)
+    parent_map = _parent_map(g)
+    parents = parent_map[node]
+    ancestors = _reachable(parent_map, node)
     descendants = _reachable(_child_map(g), node)
     non_desc = set(range(g.p)) - descendants - {node}
     return ParentSetQuery(

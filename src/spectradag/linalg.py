@@ -36,9 +36,11 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
         raise NumericalError(f"{what} must be square, got shape {a.shape}")
     tol = HERMITIAN_TOL * (1.0 + (np.max(np.abs(a)) if a.size else 0.0))
     resid = hermitian_residual(a)
-    if resid > tol:
+    # a NaN entry makes tol NaN and an inf entry makes it inf; both fail here
+    if not resid <= tol < np.inf:
         raise NumericalError(
-            f"{what} is not Hermitian: defect {resid:.3e} exceeds tolerance {tol:.3e}"
+            f"{what} is not a finite Hermitian matrix: "
+            f"defect {resid:.3e}, tolerance {tol:.3e}"
         )
     return a
 
@@ -61,8 +63,8 @@ def hermitian_solve(a, b, *, with_flag: bool = False):
     Raises
     ------
     NumericalError
-        If A fails the Hermitian invariant, or remains singular even with
-        the ridge applied.
+        If A fails the Hermitian invariant (a NaN or inf entry fails it), or
+        remains singular even with the ridge applied.
     """
     a = require_hermitian(a, "solve input")
     b = np.asarray(b, dtype=complex)

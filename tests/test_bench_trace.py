@@ -2,7 +2,8 @@
 
 `bench/tracing.py` rebinds package functions by module attribute (such as
 ``reconstruct.cpsd_f``), so a change in `src/` that drops one of those
-bindings breaks ``bench/run.py --trace 1``. This runs it as a subprocess.
+bindings breaks ``bench/run.py --trace 1``. This runs it as a subprocess on
+every workload.
 """
 
 import json
@@ -10,13 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_recon_p20_run_is_correct():
+@pytest.mark.parametrize("workload", ["exact-recovery", "sweep-p10", "recon-p20"])
+def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"),
-         "--workload", "recon-p20", "--seconds", "1", "--trace", "1"],
+         "--workload", workload, "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

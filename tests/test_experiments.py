@@ -27,6 +27,7 @@ from spectradag.experiments import (
     tail_deviations,
     tail_experiment,
     tail_to_csv,
+    trial_model,
 )
 from spectradag.graphs import graph_equal, random_dag, structural_hamming
 from spectradag.linalg import spectral_norm
@@ -34,6 +35,7 @@ from spectradag.models import (
     NoiseSpec,
     build_model,
     expected_psdm_finite_n,
+    model_to_json,
 )
 from spectradag.reconstruct import ReconstructionParams, reconstruct
 from spectradag.seeding import (
@@ -325,6 +327,19 @@ def test_tail_rows_shape():
     # region, so the last row is informative on both axes
     assert rows[-1].empirical_restart_record == 0.0
     assert rows[-1].bound < 1.0
+
+
+def test_trial_model_follows_the_model_streams():
+    noise = NoiseSpec("ar1", sigma_w=0.7, alpha=0.4)
+    code = NOISE_CODES["ar1"]
+    dag = random_dag(6, 2, seed_path(5, STREAM_MODEL, code, 3, 0))
+    expected = build_model(dag, noise, seed_path(5, STREAM_MODEL, code, 3, 1))
+    got = trial_model(6, 2, noise, 5, 3)
+    assert model_to_json(got) == model_to_json(expected)
+    # a bare kind name means that kind's default spec
+    assert model_to_json(trial_model(4, 1, "iid", 2, 0)) == model_to_json(
+        trial_model(4, 1, NoiseSpec("iid"), 2, 0)
+    )
 
 
 def test_tail_empirical_matches_deviation_counts():

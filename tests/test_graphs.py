@@ -42,6 +42,12 @@ class TestDagValidation:
         with pytest.raises(ConfigError):
             Dag(p=2, edges=frozenset({(0, 2)}), order=(0, 1))
 
+    def test_cycle_rejected_under_any_order(self):
+        cycle = frozenset({(0, 1), (1, 2), (2, 0)})
+        for order in ((0, 1, 2), (1, 2, 0), (2, 1, 0)):
+            with pytest.raises(ConfigError):
+                Dag(p=3, edges=cycle, order=order)
+
     def test_valid_graph_accepted(self):
         g = Dag(p=3, edges=frozenset({(0, 1), (1, 2)}), order=(0, 1, 2))
         assert g.p == 3

@@ -103,6 +103,17 @@ class TestHermitianSolve:
         with pytest.raises(NumericalError):
             hermitian_solve(a, np.ones(2))
 
+    # inf - inf in the Hermitian defect warns on its way to the NaN that is rejected
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_non_finite_input_rejected(self, bad, symmetric):
+        # a NaN defect compares False against any tolerance, and the Cholesky
+        # of a NaN matrix does not raise, so this once returned an all-NaN y
+        a = np.array([[1.0, bad], [bad if symmetric else 0.0, 2.0]])
+        with pytest.raises(NumericalError):
+            hermitian_solve(a, np.eye(2))
+
     def test_singular_input_ridge_rescue(self):
         # rank-1 PSD matrix: pivot collapses, the ridge path must engage
         v = np.array([1.0, 1.0])

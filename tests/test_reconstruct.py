@@ -14,8 +14,15 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from spectradag.cpsd import cpsd_deficit, cpsd_f, default_gamma, estimate_psdm, sample_psdm
-from spectradag.errors import ConfigError
+from spectradag.cpsd import (
+    PsdmEstimate,
+    cpsd_deficit,
+    cpsd_f,
+    default_gamma,
+    estimate_psdm,
+    sample_psdm,
+)
+from spectradag.errors import ConfigError, NumericalError
 from spectradag.graphs import (
     Dag,
     dag_from_edgelist,
@@ -344,6 +351,17 @@ class TestReconstruct:
         assert sorted(result.order) == list(range(6))
         assert result.graph.order == result.order
         assert max_in_degree(result.graph) <= 2
+
+    @pytest.mark.parametrize("as_estimate", [False, True], ids=["bare", "estimate"])
+    def test_nan_psdm_rejected(self, as_estimate):
+        # this once returned a graph with NaN drops
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = m[2, 0] = np.nan
+        params = ReconstructionParams(q=1, gamma=0.1, omega=0.5)
+        with pytest.raises(NumericalError):
+            if as_estimate:
+                m = PsdmEstimate(omega=0.5, matrix=m, n=10, num_samples=8)
+            reconstruct(m, params)
 
     def test_result_validation(self):
         g = Dag(p=2, edges=frozenset(), order=(0, 1))
