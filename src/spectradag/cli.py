@@ -16,12 +16,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .bounds import INPUT_KEYS, build_report, report_to_json
 from .cpsd import estimate_psdm, load_psdm, save_psdm
 from .errors import ConfigError, NumericalError
 from .experiments import (
+    ExperimentConfig,
     config_from_mapping,
     records_to_csv,
     run_experiment,
@@ -42,19 +45,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _csv_ints(text):
-    if text is None:
-        return None
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _csv_of(cast):
+    """argparse type: a comma-separated list of ``cast`` values."""
+
+    def parse(text):
+        try:
+            return [cast(part) for part in text.split(",") if part != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, got {text!r}"
+            ) from exc
+
+    return parse
 
 
-def _csv_strs(text):
-    if text is None:
-        return None
-    return [part for part in text.split(",") if part != ""]
+# One `experiment` flag per ExperimentConfig field, typed from its annotation.
+_CONFIG_HELP = {
+    "n_grid": "comma-separated trajectory counts",
+    "noise": "comma-separated noise kinds",
+    "strategies": "comma-separated strategies",
+}
+
+
+def _config_flag_type(hint):
+    if get_origin(hint) is tuple:
+        return _csv_of(int if get_args(hint)[0] is int else str)
+    return int if hint is int else float
 
 
 def _resolve_omega(args, num_samples: int) -> float:
@@ -132,18 +148,7 @@ def _cmd_experiment(args) -> None:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "p": args.p,
-        "q": args.q,
-        "n_grid": _csv_ints(args.n_grid),
-        "noise": _csv_strs(args.noise),
-        "strategies": _csv_strs(args.strategies),
-        "num_samples": args.num_samples,
-        "omega_index": args.omega_index,
-        "trials": args.trials,
-        "seed": args.seed,
-        "gamma_override": args.gamma_override,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     merged = dict(doc)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     config = config_from_mapping(merged)
@@ -224,16 +229,10 @@ def build_parser() -> _Parser:
 
     exp = subs.add_parser("experiment", help="Monte Carlo recovery experiment -> CSV")
     exp.add_argument("--config", default=None, help="JSON config file")
-    exp.add_argument("--p", type=int, default=None)
-    exp.add_argument("--q", type=int, default=None)
-    exp.add_argument("--n-grid", default=None, help="comma-separated trajectory counts")
-    exp.add_argument("--noise", default=None, help="comma-separated noise kinds")
-    exp.add_argument("--strategies", default=None, help="comma-separated strategies")
-    exp.add_argument("--num-samples", type=int, default=None)
-    exp.add_argument("--omega-index", type=int, default=None)
-    exp.add_argument("--trials", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--gamma-override", type=float, default=None)
+    hints = get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        exp.add_argument("--" + f.name.replace("_", "-"), type=_config_flag_type(hints[f.name]),
+                         default=None, help=_CONFIG_HELP.get(f.name))
     exp.add_argument("--wall-times", action="store_true",
                      help="record real wall times (breaks byte determinism)")
     exp.add_argument("--out", required=True)

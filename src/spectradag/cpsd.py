@@ -77,10 +77,13 @@ class CpsdValue:
 
 
 def _dft_block(block: np.ndarray, omega: float) -> np.ndarray:
-    """(rows, N, p) real -> (rows, p) complex DFT coefficients at omega."""
+    """(rows, N, p) real -> (rows, p) complex DFT coefficients at omega, as
+    one real matmul with the (2, N) basis [cos; -sin](omega t) / sqrt(N)."""
     n_steps = block.shape[1]
-    phases = np.exp(-1j * omega * np.arange(n_steps)) / np.sqrt(n_steps)
-    return np.tensordot(block, phases, axes=([1], [0]))
+    angles = omega * np.arange(n_steps)
+    basis = np.stack([np.cos(angles), -np.sin(angles)]) / np.sqrt(n_steps)
+    re, im = np.tensordot(basis, block, axes=(1, 1))
+    return re + 1j * im
 
 
 def estimate_psdm(traj: TrajectorySet, omega: float) -> PsdmEstimate:

@@ -34,10 +34,11 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError(f"{what} must be square, got shape {a.shape}")
-    tol = HERMITIAN_TOL * (1.0 + (np.max(np.abs(a)) if a.size else 0.0))
-    resid = hermitian_residual(a)
-    # a NaN entry makes tol NaN and an inf entry makes it inf; both fail here
-    if not resid <= tol < np.inf:
+    amax = np.max(np.abs(a)) if a.size else 0.0
+    # a NaN or inf entry fails without forming a - a^H, where inf - inf warns
+    resid = hermitian_residual(a) if amax < np.inf else np.nan
+    tol = HERMITIAN_TOL * (1.0 + amax)
+    if not resid <= tol:
         raise NumericalError(
             f"{what} is not a finite Hermitian matrix: "
             f"defect {resid:.3e}, tolerance {tol:.3e}"

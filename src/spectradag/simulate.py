@@ -6,16 +6,18 @@ Two sampling strategies:
 * ``continuous``: one realization whose n*N consecutive recorded samples
   are split into n segments (adjacent segments are correlated).
 
-Because the coefficient matrix is supported on a DAG it is nilpotent
-(B^p = 0), so the state is the finite moving average
-x(t) = sum_{k<p} B^k e(t-k). Sampling that form with exactly stationary
-noise yields the stationary process directly, with no burn-in and no
-transient approximation.
+Each trajectory is the VAR recursion x(t) = B x(t-1) + e(t) run from x = 0
+over its noise window: the p-1 steps before its N recorded ones, then
+those N. B is supported on a DAG, so it is nilpotent (B^p = 0) and after
+the p-1 leading steps x(t) = sum_{k<p} B^k e(t-k), the finite moving
+average. Driven by exactly stationary noise, that is the stationary
+process, with no burn-in and no transient approximation.
 
 One noise generator serves both strategies: a restart-record block draws
-fresh stationary realizations, and a continuous block resumes the one
-realization from the carried AR(1) filter state and p-1 noise steps.
-Generation is blocked to bound memory. Draw order is block-size invariant
+fresh stationary realizations, one window per row, and a continuous block
+resumes the one realization from the carried AR(1) filter state and p-1
+noise steps. Generation is blocked to bound memory. A window's values
+depend only on its own noise, and draw order is block-size invariant
 (each restart-record trajectory consumes a contiguous run of normals; the
 continuous realization consumes one sequential stream), so the streaming
 consumer `iter_trajectory_blocks` reproduces `simulate` exactly.
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .models import LdsModel, NoiseSpec, model_hash
@@ -67,19 +70,6 @@ class TrajectorySet:
         return self.data.shape[2]
 
 
-def _b_powers(b: np.ndarray) -> list[np.ndarray]:
-    """[I, B, B^2, ...] stopping at the first exactly-zero power."""
-    p = b.shape[0]
-    powers = [np.eye(p)]
-    cur = b.copy()
-    for _ in range(1, p):
-        if not np.any(cur):
-            break
-        powers.append(cur)
-        cur = cur @ b
-    return powers
-
-
 def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None):
     """(rows, length, p) stationary noise and the AR(1) filter state after it.
 
@@ -89,30 +79,22 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None):
     blocks never changes a row's values. Passing back the returned state
     continues the same realizations. IID noise carries no state (None).
     """
-    sd = np.sqrt(noise.sigma_w)
-    if noise.kind == "iid":
-        return sd * rng.standard_normal((rows, length, p)), None
-    if zi is None:
+    if noise.kind == "ar1" and zi is None:
         z = rng.standard_normal((rows, length + 1, p))
         sd_stat = float(np.sqrt(noise.sigma_w / (1.0 - noise.alpha**2)))
         zi = noise.alpha * (sd_stat * z[:, :1, :])
-        w = sd * z[:, 1:, :]
+        w = z[:, 1:, :]
     else:
-        w = sd * rng.standard_normal((rows, length, p))
+        w = rng.standard_normal((rows, length, p))
+    w *= np.sqrt(noise.sigma_w)
+    if noise.kind == "iid":
+        return w, None
     if length == 0:
         # lfilter returns a garbage final state for an empty input
         return w, zi
     from scipy.signal import lfilter  # deferred: the import costs over a second
 
     return lfilter([1.0], [1.0, -noise.alpha], w, axis=1, zi=zi)
-
-
-def _combine(powers, e_full: np.ndarray, offset: int, count: int) -> np.ndarray:
-    """x[.., s, :] = sum_k e_full[.., offset+s-k, :] @ powers[k].T for s < count."""
-    x = e_full[..., offset : offset + count, :].copy()
-    for k in range(1, len(powers)):
-        x += e_full[..., offset - k : offset - k + count, :] @ powers[k].T
-    return x
 
 
 def iter_trajectory_blocks(
@@ -125,9 +107,10 @@ def iter_trajectory_blocks(
 ):
     """Yield the trajectory array in (rows, N, p) blocks, bounding memory.
 
-    A restart-record block is ``rows`` fresh realizations of p-1+N noise
-    steps each. A continuous block extends the one realization by rows*N
-    steps after the last p-1 noise steps of the block before it.
+    Each block is one pass of the recursion over its windows of p-1+N
+    noise steps. A restart-record block draws ``rows`` fresh windows. A
+    continuous block extends the one realization by rows*N steps; window r
+    is a strided view of segment r's N steps and the p-1 before them.
     Concatenating the blocks reproduces ``simulate(...).data`` exactly,
     independent of the block size.
     """
@@ -140,7 +123,7 @@ def iter_trajectory_blocks(
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
-    powers = _b_powers(model.b)
+    edges = [(j, k, model.b[j, k]) for j, k in zip(*np.nonzero(model.b))]
     pre = p - 1
     restart = strategy == "restart_record"
 
@@ -154,13 +137,21 @@ def iter_trajectory_blocks(
     while done < n:
         rows = min(rows_budget, n - done)
         if restart:
-            e_full, _ = _noise(model.noise, rng, rows, pre + big_n, p)
+            windows, _ = _noise(model.noise, rng, rows, pre + big_n, p)
+            steps = windows.transpose(1, 0, 2)
         else:
             path, zi = _noise(model.noise, rng, 1, rows * big_n, p, zi)
             e_full = np.concatenate([carry, path], axis=1)
             carry = e_full[:, e_full.shape[1] - pre :]
-        x = _combine(powers, e_full, pre, e_full.shape[1] - pre)
-        yield x.reshape(rows, big_n, p)
+            windows = sliding_window_view(e_full[0], pre + big_n, axis=0)[::big_n]
+            steps = windows.transpose(2, 0, 1)
+        # time-major copy of the windows; the recursion runs over it in place,
+        # edge by edge, so no row's arithmetic depends on the block's size
+        x = steps.copy()
+        for t in range(1, pre + big_n):
+            for j, k, coef in edges:
+                x[t, :, j] += coef * x[t - 1, :, k]
+        yield x[pre:].transpose(1, 0, 2)
         done += rows
 
 
@@ -182,8 +173,7 @@ def simulate(
     -------
     TrajectorySet with data of shape (n, N, p). Deterministic given seed.
     """
-    blocks = list(iter_trajectory_blocks(model, strategy, n, num_samples, seed))
-    data = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+    data = np.concatenate(list(iter_trajectory_blocks(model, strategy, n, num_samples, seed)))
     return TrajectorySet(
         strategy=strategy,
         n=int(n),

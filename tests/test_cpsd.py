@@ -14,6 +14,7 @@ import pytest
 from spectradag.cpsd import (
     CpsdValue,
     PsdmEstimate,
+    _dft_block,
     cpsd_deficit,
     cpsd_f,
     cpsd_fs,
@@ -39,7 +40,7 @@ from spectradag.models import (
 )
 from spectradag.seeding import seed_path
 from test_linalg import naive_dft
-from spectradag.simulate import simulate
+from spectradag.simulate import TrajectorySet, simulate
 
 IID = NoiseSpec("iid", sigma_w=0.5)
 AR1 = NoiseSpec("ar1", sigma_w=0.5, alpha=0.5)
@@ -360,6 +361,20 @@ class TestDefaultGamma:
     def test_edgeless_floor(self):
         model = build_model(Dag(p=2, edges=frozenset(), order=(0, 1)), IID, seed=3)
         assert default_gamma(model, GRID8) == pytest.approx(1e-9)
+
+
+class TestDftBlock:
+    @pytest.mark.parametrize("omega", [0.0, np.pi, 2 * np.pi * 17 / 64],
+                             ids=["zero", "pi", "17of64"])
+    @pytest.mark.parametrize("num_samples", [1, 2, 64])
+    def test_matches_naive_dft(self, omega, num_samples):
+        block = np.random.default_rng(num_samples).standard_normal((5, num_samples, 3))
+        want = np.stack([naive_dft(row, omega) for row in block])
+        np.testing.assert_allclose(_dft_block(block, omega), want, rtol=1e-12, atol=1e-12)
+        est = estimate_psdm(TrajectorySet("restart_record", 5, num_samples, block, 0), omega)
+        assert np.all(est.matrix.diagonal().imag == 0.0)
+        scale = np.max(np.abs(est.matrix))
+        assert np.max(np.abs(est.matrix - est.matrix.conj().T)) <= 1e-15 * scale
 
 
 class TestEstimatePsdm:

@@ -103,8 +103,6 @@ class TestHermitianSolve:
         with pytest.raises(NumericalError):
             hermitian_solve(a, np.ones(2))
 
-    # inf - inf in the Hermitian defect warns on its way to the NaN that is rejected
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_non_finite_input_rejected(self, bad, symmetric):

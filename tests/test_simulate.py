@@ -1,6 +1,8 @@
-"""Trajectory generation under both sampling strategies, from the exact
-stationary moving-average sampler. Its moments are checked against a naive
-zero-init recursion written in the tests, independently of the package."""
+"""Trajectory generation under both sampling strategies, by the VAR
+recursion over noise windows. Its values are checked against the
+moving-average form sum_k B^k e(t-k) on the same noise, and its moments
+against a naive zero-init recursion written in the tests, independently
+of the package."""
 
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ import pytest
 from spectradag.errors import ConfigError
 from spectradag.graphs import Dag, random_dag
 from spectradag.models import NoiseSpec, build_model
+from spectradag.seeding import rng_from
 from spectradag.simulate import (
     TrajectorySet,
+    _noise,
     iter_trajectory_blocks,
     load_trajectories,
     save_trajectories,
@@ -100,6 +104,49 @@ class TestDeterminism:
         model = build_model(random_dag(p, min(2, p - 1), seed=p), noise, seed=p)
         data = simulate(model, strategy, 7, 8, seed=2024).data
         assert hashlib.sha256(np.round(data, 10).tobytes()).hexdigest() == digest
+
+
+def moving_average_oracle(model, strategy, n, num_samples, seed):
+    """x(t) = sum_{k<p} B^k e(t-k) on the package's own noise for this seed.
+
+    The noise is redrawn with `_noise` in the sampler's call order. Row
+    splits change neither a restart-record row nor the continuous stream,
+    so one call per stream stands for any block size.
+    """
+    p, big_n = model.p, num_samples
+    rng = rng_from(seed)
+    if strategy == "restart_record":
+        windows, _ = _noise(model.noise, rng, n, p - 1 + big_n, p)
+    else:
+        head, zi = _noise(model.noise, rng, 1, p - 1, p)
+        path, _ = _noise(model.noise, rng, 1, n * big_n, p, zi)
+        stream = np.concatenate([head, path], axis=1)[0]
+        windows = np.stack([stream[r * big_n : r * big_n + p - 1 + big_n] for r in range(n)])
+    x = np.zeros((n, big_n, p))
+    for k in range(p):
+        x += windows[:, p - 1 - k : p - 1 - k + big_n] @ np.linalg.matrix_power(model.b, k).T
+    return x
+
+
+class TestMovingAverageOracle:
+    PATH8 = Dag(p=8, edges=frozenset((i, i + 1) for i in range(7)), order=tuple(range(8)))
+
+    @pytest.mark.parametrize("noise", [IID, AR1], ids=["iid", "ar1"])
+    @pytest.mark.parametrize(
+        "strategy, max_block_rows",
+        [("restart_record", None), ("continuous", None), ("continuous", 3)],
+        ids=["restart", "continuous", "continuous-3-row-blocks"],
+    )
+    def test_recursion_equals_moving_average(self, noise, strategy, max_block_rows):
+        # a path DAG has B^7 != 0, so every one of the p-1 leading steps counts;
+        # 3-row continuous blocks put window starts in the block before
+        model = build_model(self.PATH8, noise, seed=3)
+        assert np.any(np.linalg.matrix_power(model.b, 7))
+        blocks = iter_trajectory_blocks(model, strategy, 10, 6, seed=17,
+                                        max_block_rows=max_block_rows)
+        got = np.concatenate(list(blocks), axis=0)
+        want = moving_average_oracle(model, strategy, 10, 6, seed=17)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDistribution:
