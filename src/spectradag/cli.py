@@ -68,9 +68,15 @@ _CONFIG_HELP = {
 
 
 def _config_flag_type(hint):
-    if get_origin(hint) is tuple:
+    """int, float or str (optional or not), or a comma-separated list for a
+    tuple of int, str or NoiseSpec (by kind name). Any other annotation
+    raises TypeError when the parser is built, not when the flag is used."""
+    if get_origin(hint) is tuple and get_args(hint)[0] in (int, str, NoiseSpec):
         return _csv_of(int if get_args(hint)[0] is int else str)
-    return int if hint is int else float
+    for scalar in (int, float, str):
+        if hint in (scalar, scalar | None):
+            return scalar
+    raise TypeError(f"no command-line type for config annotation {hint!r}")
 
 
 def _resolve_omega(args, num_samples: int) -> float:

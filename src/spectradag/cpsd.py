@@ -77,12 +77,12 @@ class CpsdValue:
 
 
 def _dft_block(block: np.ndarray, omega: float) -> np.ndarray:
-    """(rows, N, p) real -> (rows, p) complex DFT coefficients at omega, as
-    one real matmul with the (2, N) basis [cos; -sin](omega t) / sqrt(N)."""
+    """(rows, N, p) real -> (rows, p) complex DFT coefficients at omega: the
+    (2, N) basis [cos; -sin](omega t) / sqrt(N) times each (N, p) slice."""
     n_steps = block.shape[1]
     angles = omega * np.arange(n_steps)
     basis = np.stack([np.cos(angles), -np.sin(angles)]) / np.sqrt(n_steps)
-    re, im = np.tensordot(basis, block, axes=(1, 1))
+    re, im = np.matmul(basis, block).transpose(1, 0, 2)
     return re + 1j * im
 
 

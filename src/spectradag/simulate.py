@@ -7,11 +7,11 @@ Two sampling strategies:
   are split into n segments (adjacent segments are correlated).
 
 Each trajectory is the VAR recursion x(t) = B x(t-1) + e(t) run from x = 0
-over its noise window: the p-1 steps before its N recorded ones, then
-those N. B is supported on a DAG, so it is nilpotent (B^p = 0) and after
-the p-1 leading steps x(t) = sum_{k<p} B^k e(t-k), the finite moving
-average. Driven by exactly stationary noise, that is the stationary
-process, with no burn-in and no transient approximation.
+over its noise window, the p-1 steps before its N recorded ones and those
+N, in one pass along time per edge of B, children in topological order.
+B is supported on a DAG, so it is nilpotent (B^p = 0) and after the p-1
+leading steps x(t) = sum_{k<p} B^k e(t-k), a finite moving average: with
+exactly stationary noise, the stationary process, with no burn-in.
 
 One noise generator serves both strategies: a restart-record block draws
 fresh stationary realizations, one window per row, and a continuous block
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .models import LdsModel, NoiseSpec, model_hash
@@ -78,6 +77,9 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None):
     consumes a contiguous run of standard normals and splitting rows across
     blocks never changes a row's values. Passing back the returned state
     continues the same realizations. IID noise carries no state (None).
+
+    The array is a view of a (p, rows, length) one, so that each node's
+    series is contiguous for lfilter and for the recursion.
     """
     if noise.kind == "ar1" and zi is None:
         z = rng.standard_normal((rows, length + 1, p))
@@ -86,15 +88,16 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None):
         w = z[:, 1:, :]
     else:
         w = rng.standard_normal((rows, length, p))
-    w *= np.sqrt(noise.sigma_w)
-    if noise.kind == "iid":
-        return w, None
-    if length == 0:
-        # lfilter returns a garbage final state for an empty input
-        return w, zi
+    sd = np.sqrt(noise.sigma_w)
+    if noise.kind == "iid" or length == 0:
+        # an empty input skips lfilter, which returns a garbage final state for it
+        return np.multiply(w.transpose(2, 0, 1), sd, order="C").transpose(1, 2, 0), zi
+    w *= sd
     from scipy.signal import lfilter  # deferred: the import costs over a second
 
-    return lfilter([1.0], [1.0, -noise.alpha], w, axis=1, zi=zi)
+    y, zi = lfilter([1.0], [1.0, -noise.alpha], w.transpose(2, 0, 1), axis=2,
+                    zi=zi.transpose(2, 0, 1))
+    return y.transpose(1, 2, 0), zi.transpose(1, 2, 0)
 
 
 def iter_trajectory_blocks(
@@ -107,12 +110,12 @@ def iter_trajectory_blocks(
 ):
     """Yield the trajectory array in (rows, N, p) blocks, bounding memory.
 
-    Each block is one pass of the recursion over its windows of p-1+N
-    noise steps. A restart-record block draws ``rows`` fresh windows. A
-    continuous block extends the one realization by rows*N steps; window r
-    is a strided view of segment r's N steps and the p-1 before them.
-    Concatenating the blocks reproduces ``simulate(...).data`` exactly,
-    independent of the block size.
+    A restart-record block runs the recursion in place over ``rows`` fresh
+    windows. A continuous block runs it once over rows*N new steps of the
+    one realization and the p-1 carried before them: a node at topological
+    depth d reads only d steps back, so from step p-1 on each value takes
+    the same operations as in its segment's own window. Concatenating the
+    blocks reproduces ``simulate(...).data`` exactly, for any block size.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -123,7 +126,9 @@ def iter_trajectory_blocks(
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
-    edges = [(j, k, model.b[j, k]) for j, k in zip(*np.nonzero(model.b))]
+    # children in topological order: a node's whole series then needs only
+    # parent series that are already final
+    edges = [(j, k, model.b[j, k]) for j in model.dag.order for k in np.flatnonzero(model.b[j])]
     pre = p - 1
     restart = strategy == "restart_record"
 
@@ -137,21 +142,16 @@ def iter_trajectory_blocks(
     while done < n:
         rows = min(rows_budget, n - done)
         if restart:
-            windows, _ = _noise(model.noise, rng, rows, pre + big_n, p)
-            steps = windows.transpose(1, 0, 2)
+            x, _ = _noise(model.noise, rng, rows, pre + big_n, p)
         else:
             path, zi = _noise(model.noise, rng, 1, rows * big_n, p, zi)
-            e_full = np.concatenate([carry, path], axis=1)
-            carry = e_full[:, e_full.shape[1] - pre :]
-            windows = sliding_window_view(e_full[0], pre + big_n, axis=0)[::big_n]
-            steps = windows.transpose(2, 0, 1)
-        # time-major copy of the windows; the recursion runs over it in place,
-        # edge by edge, so no row's arithmetic depends on the block's size
-        x = steps.copy()
-        for t in range(1, pre + big_n):
-            for j, k, coef in edges:
-                x[t, :, j] += coef * x[t - 1, :, k]
-        yield x[pre:].transpose(1, 0, 2)
+            # concatenate keeps the node-major layout of its inputs
+            x = np.concatenate([carry, path], axis=1)
+            carry = x[:, x.shape[1] - pre :].copy(order="K")
+        # x(t) = B x(t-1) + e(t), one pass along time per edge of B
+        for j, k, coef in edges:
+            x[:, 1:, j] += coef * x[:, :-1, k]
+        yield x[:, pre:] if restart else x[0, pre:].reshape(rows, big_n, p)
         done += rows
 
 

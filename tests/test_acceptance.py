@@ -6,9 +6,9 @@ and runtime.  Budgets are asserted, not aspirational: a slow machine fails
 loudly rather than silently shipping a weaker check.
 
 Measured runtime of the whole Tier-1 suite, this file included, on a 2-core
-Intel Xeon box: 343 s and 406 s in two runs, dominated by the
-1000-replicate tail experiment, the p=20 recovery check and the Monte Carlo
-phase-transition sweep.
+Intel Xeon box: 302 s for 346 tests, dominated by the p=20 recovery check,
+the 1000-replicate tail experiment and the Monte Carlo phase-transition
+sweep.
 """
 import math
 import time

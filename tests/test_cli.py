@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from spectradag.cli import main
+from spectradag.cli import _config_flag_type, main
 from spectradag.cpsd import PsdmEstimate, default_gamma, estimate_psdm, load_psdm, save_psdm
 from spectradag.graphs import dag_from_edgelist, dag_to_edgelist, random_dag
 from spectradag.models import NoiseSpec, build_model, exact_psdm, model_from_json
@@ -440,6 +440,16 @@ def test_experiment_config_errors_exit_code_1(tmp_path):
     unknown_cfg = tmp_path / "unknown.json"
     unknown_cfg.write_text('{"p": 3, "q": 1, "n_grid": [5], "mystery": 1}')
     assert run_cli("experiment", "--config", str(unknown_cfg), "--out", out) == 1
+
+
+def test_experiment_flag_type_from_annotation():
+    # a config field of a type the CLI cannot parse fails when the parser is built
+    assert _config_flag_type(int) is int
+    assert _config_flag_type(float | None) is float
+    assert _config_flag_type(tuple[NoiseSpec, ...])("iid,ar1") == ["iid", "ar1"]
+    for hint in (bool, int | str, list[int], tuple[float, ...]):
+        with pytest.raises(TypeError, match="no command-line type"):
+            _config_flag_type(hint)
 
 
 # ---------------------------------------------------------------------------

@@ -130,17 +130,22 @@ def moving_average_oracle(model, strategy, n, num_samples, seed):
 
 class TestMovingAverageOracle:
     PATH8 = Dag(p=8, edges=frozenset((i, i + 1) for i in range(7)), order=tuple(range(8)))
+    # the same path with its labels reversed: children before parents in index order
+    REVERSED8 = Dag(
+        p=8, edges=frozenset((i + 1, i) for i in range(7)), order=tuple(range(7, -1, -1))
+    )
 
+    @pytest.mark.parametrize("dag", [PATH8, REVERSED8], ids=["path", "reversed-path"])
     @pytest.mark.parametrize("noise", [IID, AR1], ids=["iid", "ar1"])
     @pytest.mark.parametrize(
         "strategy, max_block_rows",
         [("restart_record", None), ("continuous", None), ("continuous", 3)],
         ids=["restart", "continuous", "continuous-3-row-blocks"],
     )
-    def test_recursion_equals_moving_average(self, noise, strategy, max_block_rows):
+    def test_recursion_equals_moving_average(self, dag, noise, strategy, max_block_rows):
         # a path DAG has B^7 != 0, so every one of the p-1 leading steps counts;
         # 3-row continuous blocks put window starts in the block before
-        model = build_model(self.PATH8, noise, seed=3)
+        model = build_model(dag, noise, seed=3)
         assert np.any(np.linalg.matrix_power(model.b, 7))
         blocks = iter_trajectory_blocks(model, strategy, 10, 6, seed=17,
                                         max_block_rows=max_block_rows)
