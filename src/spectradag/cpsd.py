@@ -86,13 +86,17 @@ def _dft_block(block: np.ndarray, omega: float) -> np.ndarray:
     return re + 1j * im
 
 
+def _gram_estimate(xw: np.ndarray, omega: float, num_samples: int) -> PsdmEstimate:
+    """Average the outer products of the (n, p) DFT rows xw."""
+    n = xw.shape[0]
+    return PsdmEstimate(
+        omega=float(omega), matrix=(xw.T @ np.conj(xw)) / n, n=n, num_samples=int(num_samples)
+    )
+
+
 def estimate_psdm(traj: TrajectorySet, omega: float) -> PsdmEstimate:
     """Average the DFT outer products of every trajectory at one frequency."""
-    xw = _dft_block(traj.data, omega)
-    acc = xw.T @ np.conj(xw)
-    return PsdmEstimate(
-        omega=float(omega), matrix=acc / traj.n, n=traj.n, num_samples=traj.num_samples
-    )
+    return _gram_estimate(_dft_block(traj.data, omega), omega, traj.num_samples)
 
 
 def sample_psdm(
@@ -104,19 +108,19 @@ def sample_psdm(
     seed,
     max_block_rows=None,
 ) -> PsdmEstimate:
-    """Simulate and estimate in one streaming pass, never holding all data.
+    """Simulate and estimate in one streaming pass, keeping only DFT rows.
 
-    Reproduces ``estimate_psdm(simulate(...), omega)`` up to summation
-    rounding; memory stays bounded by the block size.
+    Each trajectory block is reduced to its (rows, p) DFT rows at omega as
+    it is generated, and one Gram over all n rows ends the pass. A row's
+    DFT does not depend on the block it came in, so this equals
+    ``estimate_psdm(simulate(...), omega)`` exactly, for any block size.
+    Memory stays near one block's working arrays plus the n*p complex DFT
+    rows (640 KB at p=10, n=4000, held twice while they are joined), where
+    ``simulate`` holds all n*N*p reals.
     """
-    p = model.p
-    acc = np.zeros((p, p), dtype=complex)
-    for block in iter_trajectory_blocks(model, strategy, n, num_samples, seed, max_block_rows):
-        xw = _dft_block(block, omega)
-        acc += xw.T @ np.conj(xw)
-    return PsdmEstimate(
-        omega=float(omega), matrix=acc / n, n=int(n), num_samples=int(num_samples)
-    )
+    blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed, max_block_rows)
+    xw = np.concatenate([_dft_block(block, omega) for block in blocks])
+    return _gram_estimate(xw, omega, num_samples)
 
 
 def _finalize_f(raw, node, cond, omega, ridged, scale) -> CpsdValue:

@@ -100,18 +100,19 @@ def hermitian_solve(a, b, *, with_flag: bool = False):
     return (y, ridged) if with_flag else y
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value of ``a``.
+def spectral_norm(a):
+    """Largest singular value of ``a``, or of each matrix in a (..., m, n) stack.
 
     Computed from the eigendecomposition of A^H A for determinism (the
-    matrices here never exceed a few dozen rows).
+    matrices here never exceed a few dozen rows). A stack takes one
+    batched Gram and eigvalsh, with the same bits as one matrix at a time.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         raise NumericalError("spectral_norm of empty matrix")
-    gram = a.conj().T @ a
-    top = np.max(np.linalg.eigvalsh(gram))
-    return float(np.sqrt(max(top, 0.0)))
+    top = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)[..., -1]
+    norms = np.sqrt(np.maximum(top, 0.0))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def lyapunov_solve(f, s, *, tol: float = 1e-12, max_iter: int = 10**6) -> np.ndarray:

@@ -113,14 +113,15 @@ class LdsModel:
         return self.dag.p
 
 
-def _psdm_from_b(b: np.ndarray, noise: NoiseSpec, omega: float) -> np.ndarray:
-    p = b.shape[0]
+def _psdm_from_b(b: np.ndarray, noise: NoiseSpec, omegas: np.ndarray) -> np.ndarray:
+    """(len(omegas), p, p) population PSDMs: one stacked solve for all omegas."""
+    eye = np.eye(b.shape[0])
     try:
-        t = np.linalg.solve(np.eye(p) - b * np.exp(-1j * omega), np.eye(p, dtype=complex))
+        t = np.linalg.solve(eye - b * np.exp(-1j * omegas)[:, None, None], eye.astype(complex))
     except np.linalg.LinAlgError as exc:  # cannot happen under ||B|| < 1; guard anyway
-        raise NumericalError(f"transfer inversion failed at omega={omega}") from exc
-    phi = noise.psd(omega) * (t @ t.conj().T)
-    return 0.5 * (phi + phi.conj().T)
+        raise NumericalError(f"transfer inversion failed at an omega in {omegas}") from exc
+    phi = noise.psd(omegas)[:, None, None] * (t @ t.conj().transpose(0, 2, 1))
+    return 0.5 * (phi + phi.conj().transpose(0, 2, 1))
 
 
 def exact_psdm(model: LdsModel, omega: float) -> np.ndarray:
@@ -128,7 +129,7 @@ def exact_psdm(model: LdsModel, omega: float) -> np.ndarray:
 
     Returns a Hermitian positive-definite (p, p) complex matrix.
     """
-    return _psdm_from_b(model.b, model.noise, float(omega))
+    return _psdm_from_b(model.b, model.noise, np.array([float(omega)]))[0]
 
 
 def _autocorr_from_b(b: np.ndarray, noise: NoiseSpec, max_lag: int) -> np.ndarray:
@@ -219,25 +220,22 @@ def build_model(
         beta = 0.0
 
     grid = DEFAULT_MODEL_OMEGA_GRID if omega_grid is None else np.asarray(omega_grid, float)
-    m_bound = 1.0
-    for omega in grid:
-        eigs = np.linalg.eigvalsh(_psdm_from_b(b, noise, float(omega)))
-        m_bound = max(m_bound, float(eigs[-1]), float(1.0 / eigs[0]))
+    eigs = np.linalg.eigvalsh(_psdm_from_b(b, noise, grid))
+    m_bound = float(np.max(np.concatenate([eigs[:, -1], 1.0 / eigs[:, 0]]), initial=1.0))
 
-    c_decay, rho = _fit_decay(_autocorr_from_b(b, noise, fit_lags))
+    c_decay, rho = _fit_decay(spectral_norm(_autocorr_from_b(b, noise, fit_lags)))
     constants = ModelConstants(beta=beta, m_bound=m_bound, c_decay=c_decay, rho=rho)
     return LdsModel(dag=dag, b=b, noise=noise, constants=constants)
 
 
-def _fit_decay(rr: np.ndarray) -> tuple[float, float]:
-    """Fit (C, rho) with ||R(k)|| <= C rho^-k over the computed lags.
+def _fit_decay(norms: np.ndarray) -> tuple[float, float]:
+    """Fit (C, rho) with norms[k] = ||R(k)|| <= C rho^-k over the computed lags.
 
     rho comes from successive norm ratios over the lags that are not
     numerically zero (slowest observed decay, so the bound is honest); C
     is then the smallest constant making the bound hold at every computed
     lag, evaluated in log space to avoid overflow.
     """
-    norms = np.array([spectral_norm(rr[k]) for k in range(rr.shape[0])])
     floor = 1e-13 * norms[0]
     # fit only the contiguous leading run above the noise floor: past the
     # first numerical zero the ratios are noise (nilpotent models hit exact

@@ -6,8 +6,8 @@ and runtime.  Budgets are asserted, not aspirational: a slow machine fails
 loudly rather than silently shipping a weaker check.
 
 Measured runtime of the whole Tier-1 suite, this file included, on a 2-core
-Intel Xeon box: 302 s for 346 tests, dominated by the p=20 recovery check,
-the 1000-replicate tail experiment and the Monte Carlo phase-transition
+Intel Xeon box: 258-300 s for 358 tests, dominated by the 1000-replicate tail
+experiment, the p=20 recovery check and the Monte Carlo phase-transition
 sweep.
 """
 import math
@@ -35,7 +35,7 @@ from spectradag.graphs import (
 from spectradag.models import NoiseSpec, build_model, exact_psdm, expected_psdm_finite_n
 from spectradag.reconstruct import ReconstructionParams, order_nodes, reconstruct
 from spectradag.simulate import iter_trajectory_blocks
-from test_reconstruct import order_oracle
+from .test_reconstruct import order_oracle
 
 GRID8 = 2.0 * np.pi * np.arange(8) / 8.0
 IID = NoiseSpec("iid")

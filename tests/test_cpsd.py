@@ -6,6 +6,7 @@ subsets. The closed-form deficit must match these.
 """
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +40,7 @@ from spectradag.models import (
     expected_psdm_finite_n,
 )
 from spectradag.seeding import seed_path
-from test_linalg import naive_dft
+from .test_linalg import naive_dft
 from spectradag.simulate import TrajectorySet, simulate
 
 IID = NoiseSpec("iid", sigma_w=0.5)
@@ -437,16 +438,31 @@ class TestEstimatePsdm:
 
 
 class TestSamplePsdm:
+    @pytest.mark.parametrize("max_block_rows", [1, 3, 37, None])
     @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
-    def test_streaming_equals_materialized(self, strategy):
+    def test_streaming_equals_materialized(self, strategy, max_block_rows):
         model = build_model(random_dag(4, 2, seed=61), AR1, seed=61)
         w = 2 * np.pi * 7 / 32
         direct = estimate_psdm(simulate(model, strategy, 300, 32, seed=88), w)
         streamed = sample_psdm(
-            model, strategy, 300, 32, w, seed=88, max_block_rows=37
+            model, strategy, 300, 32, w, seed=88, max_block_rows=max_block_rows
         )
-        assert np.allclose(streamed.matrix, direct.matrix, atol=1e-10)
+        assert np.array_equal(streamed.matrix, direct.matrix)
         assert streamed.n == 300 and streamed.num_samples == 32
+
+    @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
+    def test_memory_stays_bounded(self, strategy):
+        # the trajectories alone are n*N*p float64 = 20 MB here; the pass
+        # holds one block and the DFT rows
+        model = build_model(random_dag(10, 2, seed=62), AR1, seed=62)
+        sample_psdm(model, strategy, 50, 64, 0.3, seed=1)  # imports, first-call caches
+        tracemalloc.start()
+        try:
+            sample_psdm(model, strategy, 4000, 64, 2 * np.pi * 17 / 64, seed=89)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
     def test_diagonal_exactly_real(self, strategy):

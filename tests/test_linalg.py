@@ -170,6 +170,15 @@ class TestSpectralNorm:
         a = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert spectral_norm(a) == pytest.approx(3.0, abs=1e-10)
 
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(23)
+        for shape in [(1, 1, 1), (4, 3, 5), (2, 3, 6, 6)]:
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = spectral_norm(a)
+            assert got.shape == shape[:-2]
+            for idx in np.ndindex(*shape[:-2]):
+                assert got[idx] == spectral_norm(a[idx])
+
 
 class TestLyapunovSolve:
     def test_zero_transition(self):

@@ -7,6 +7,8 @@ and the simulation code cannot share a bug.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from spectradag.linalg import hermitian_residual, spectral_norm
 from spectradag.models import (
     LdsModel,
     NoiseSpec,
+    _fit_decay,
     autocorr,
     build_model,
     exact_psdm,
@@ -124,6 +127,30 @@ class TestBuildModel:
                 eigs = np.linalg.eigvalsh(exact_psdm(model, omega))
                 assert eigs.min() >= 1.0 / m - 1e-9
                 assert eigs.max() <= m + 1e-9
+
+    @pytest.mark.parametrize("noise", [IID, AR1, NoiseSpec("ar1", sigma_w=1e10, alpha=0.3)])
+    def test_constants_match_per_frequency_loop(self, noise):
+        # build_model and exact_psdm stack the grid PSDMs and the lag Grams;
+        # one matrix at a time must give the same bits
+        for p in (1, 2, 5, 12, 20):
+            dags = [Dag(p=p, edges=frozenset(), order=tuple(range(p)))]
+            dags += [random_dag(p, q, seed=p + q) for q in (1, 3) if q < p]
+            for dag, grid in itertools.product(dags, (None, [0.0, 1.0, np.pi], [])):
+                model = build_model(dag, noise, seed=p, omega_grid=grid)
+                m_bound = 1.0
+                for omega in 2 * np.pi * np.arange(64) / 64 if grid is None else grid:
+                    t = np.linalg.solve(
+                        np.eye(p) - model.b * np.exp(-1j * omega), np.eye(p, dtype=complex)
+                    )
+                    phi = noise.psd(omega) * (t @ t.conj().T)
+                    phi = 0.5 * (phi + phi.conj().T)
+                    assert np.array_equal(exact_psdm(model, omega), phi)
+                    eigs = np.linalg.eigvalsh(phi)
+                    m_bound = max(m_bound, float(eigs[-1]), float(1.0 / eigs[0]))
+                grams = [r.conj().T @ r for r in autocorr(model, 64).astype(complex)]
+                norms = np.array([np.sqrt(max(np.max(np.linalg.eigvalsh(g)), 0.0)) for g in grams])
+                assert model.constants.m_bound == m_bound
+                assert (model.constants.c_decay, model.constants.rho) == _fit_decay(norms)
 
     def test_autocorr_decay_bound_holds(self):
         for seed, noise in [(0, IID), (1, AR1), (2, AR1)]:

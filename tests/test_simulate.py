@@ -24,8 +24,8 @@ from spectradag.simulate import (
     save_trajectories,
     simulate,
 )
-from test_linalg import naive_dft
-from test_models import naive_trajectories
+from .test_linalg import naive_dft
+from .test_models import naive_trajectories
 
 IID = NoiseSpec(kind="iid", sigma_w=0.5)
 AR1 = NoiseSpec(kind="ar1", sigma_w=0.5, alpha=0.5)
