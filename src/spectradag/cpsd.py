@@ -76,14 +76,22 @@ class CpsdValue:
     clamped: bool = False
 
 
+def _dft_basis(n_steps: int, omega: float) -> np.ndarray:
+    """The (2, N) real basis [cos; -sin](omega t) / sqrt(N) of the DFT at omega."""
+    angles = omega * np.arange(n_steps)
+    return np.stack([np.cos(angles), -np.sin(angles)]) / np.sqrt(n_steps)
+
+
+def _complex_rows(re_im: np.ndarray) -> np.ndarray:
+    """(rows, 2, p) real and imaginary parts -> (rows, p) complex."""
+    re, im = re_im.transpose(1, 0, 2)
+    return re + 1j * im
+
+
 def _dft_block(block: np.ndarray, omega: float) -> np.ndarray:
     """(rows, N, p) real -> (rows, p) complex DFT coefficients at omega: the
-    (2, N) basis [cos; -sin](omega t) / sqrt(N) times each (N, p) slice."""
-    n_steps = block.shape[1]
-    angles = omega * np.arange(n_steps)
-    basis = np.stack([np.cos(angles), -np.sin(angles)]) / np.sqrt(n_steps)
-    re, im = np.matmul(basis, block).transpose(1, 0, 2)
-    return re + 1j * im
+    two-row basis times each (N, p) slice."""
+    return _complex_rows(np.matmul(_dft_basis(block.shape[1], omega), block))
 
 
 def _gram_estimate(xw: np.ndarray, omega: float, num_samples: int) -> PsdmEstimate:
@@ -110,16 +118,18 @@ def sample_psdm(
 ) -> PsdmEstimate:
     """Simulate and estimate in one streaming pass, keeping only DFT rows.
 
-    Each trajectory block is reduced to its (rows, p) DFT rows at omega as
-    it is generated, and one Gram over all n rows ends the pass. A row's
-    DFT does not depend on the block it came in, so this equals
+    Each trajectory block is reduced to the real and imaginary parts of its
+    DFT rows at omega as it is generated, against one basis per call; the
+    parts are made complex once, and one Gram over all n rows ends the pass.
+    A row's DFT does not depend on the block it came in, so this equals
     ``estimate_psdm(simulate(...), omega)`` exactly, for any block size.
-    Memory stays near one block's working arrays plus the n*p complex DFT
-    rows (640 KB at p=10, n=4000, held twice while they are joined), where
+    Memory stays near one block's working arrays plus the DFT rows (640 KB
+    at p=10, n=4000, held twice while they are joined), where
     ``simulate`` holds all n*N*p reals.
     """
+    basis = _dft_basis(num_samples, omega)
     blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed, max_block_rows)
-    xw = np.concatenate([_dft_block(block, omega) for block in blocks])
+    xw = _complex_rows(np.concatenate([np.matmul(basis, block) for block in blocks]))
     return _gram_estimate(xw, omega, num_samples)
 
 

@@ -13,17 +13,20 @@ B is supported on a DAG, so it is nilpotent (B^p = 0) and after the p-1
 leading steps x(t) = sum_{k<p} B^k e(t-k), a finite moving average: with
 exactly stationary noise, the stationary process, with no burn-in.
 
-One noise generator serves both strategies: a restart-record block draws
-fresh stationary realizations, one window per row, and a continuous block
-resumes the one realization from the carried AR(1) filter state and p-1
-noise steps. Generation runs in blocks of about 2^17 values (1 MiB), small
-enough that a block's noise, the recursion over it and its DFT in
-`cpsd.sample_psdm` stay in one core's L2 cache: each pass over a block
-then reads cache, not DRAM. A window's values depend only on its own
-noise, and draw order is block-size invariant (each restart-record
-trajectory consumes a contiguous run of normals; the continuous
-realization consumes one sequential stream), so the streaming consumer
-`iter_trajectory_blocks` reproduces `simulate` exactly.
+One noise generator serves both strategies: a restart-record unit of rows
+draws fresh stationary realizations, one window per row, and a continuous
+unit resumes the one realization from the carried AR(1) state y(t-1) and
+p-1 noise steps. AR(1) noise is filtered by a chunked numpy scan (see
+`_noise`), so sampling needs numpy alone. Generation runs in units of
+about 2^17 values (1 MiB), their normals drawn into one scratch buffer
+reused for the whole call, small enough that a unit's noise, the
+recursion over it and its DFT in `cpsd.sample_psdm` stay in one core's
+L2 cache: each pass over a unit then reads cache, not DRAM. A unit's
+size depends on N and p alone, and draw order is block-size invariant
+(each restart-record trajectory consumes a contiguous run of normals;
+the continuous realization consumes one sequential stream), so the
+streaming consumer `iter_trajectory_blocks` reproduces `simulate`
+exactly, whatever its block size.
 
 `save_trajectories` stores a set as one array file, trajectories.npy,
 next to a manifest.json of its strategy, sizes, seed and model hash.
@@ -32,6 +35,7 @@ next to a manifest.json of its strategy, sizes, seed and model hash.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,11 +47,15 @@ from .seeding import rng_from
 
 STRATEGIES = ("restart_record", "continuous")
 
-# Noise-block budget: 2^17 float64 (1 MiB) per generated block, so that a
-# block's noise, the recursion over it and its DFT stay in one core's L2
-# cache instead of streaming through DRAM. On a Xeon with 2 MiB of L2 per
+# Noise-unit budget: 2^17 float64 (1 MiB) per generated unit of rows, so
+# that a unit's noise, the recursion over it and its DFT stay in one core's
+# L2 cache instead of streaming through DRAM. On a Xeon with 2 MiB of L2 per
 # core, 2^16 to 2^18 timed alike and all beat 32 MB blocks.
 _TARGET_BLOCK_ELEMS = 2**17
+
+# Steps per chunk of the AR(1) scan: every N=64 restart-record window up to
+# p=65 is one chunk, and long rows still give each step many lanes.
+_SCAN_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,35 +83,123 @@ class TrajectorySet:
         return self.data.shape[2]
 
 
-def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None):
-    """(rows, length, p) stationary noise and the AR(1) filter state after it.
+def _scratch(bufs: dict, key: str, shape) -> np.ndarray:
+    """A C-contiguous array of ``shape`` over the reusable flat buffer bufs[key]."""
+    size = math.prod(shape)
+    if key not in bufs or bufs[key].size < size:
+        bufs[key] = np.empty(size)
+    return bufs[key][:size].reshape(shape)
 
-    With ``zi=None`` every row is a fresh realization: its initial state is
-    drawn from the stationary law just before its own path, so each row
-    consumes a contiguous run of standard normals and splitting rows across
-    blocks never changes a row's values. Passing back the returned state
-    continues the same realizations. IID noise carries no state (None).
 
-    The array is a view of a (p, rows, length) one, so that each node's
-    series is contiguous for lfilter and for the recursion.
+def _chunk_views(rowwise: np.ndarray, chunks: np.ndarray):
+    """Matching views of rowwise (rows, L, p) and the time-major chunk array
+    chunks (c, p, rows, nck): the full chunks, then the partial last one."""
+    rows, length, p = rowwise.shape
+    c, nck = chunks.shape[0], chunks.shape[3]
+    full = length // c
+    pairs = [(rowwise[:, : full * c].reshape(rows, full, c, p).transpose(2, 3, 0, 1),
+              chunks[..., :full])]
+    if full < nck:
+        pairs.append((rowwise[:, full * c :].transpose(1, 2, 0), chunks[: length - full * c, ..., full]))
+    return pairs
+
+
+def _chain(v: np.ndarray, gain: np.ndarray) -> None:
+    """In place along the last axis: v_k += gain_k * v_{k-1}, k = 1, 2, ...,
+    with the result of each step feeding the next. By doubling, in
+    log2(length) vector steps rather than one Python step per element;
+    gain is consumed."""
+    d = 1
+    while d < v.shape[-1]:
+        v[..., d:] += gain[d:] * v[..., :-d]
+        gain[d:] *= gain[:-d]
+        d *= 2
+
+
+def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None, out=None, bufs=None):
+    """(rows, length, p) stationary noise and the AR(1) state y(t-1) after it.
+
+    With ``zi=None`` every row is a fresh realization: its initial state
+    y(-1) is drawn from the stationary law just before its own path, so each
+    row consumes a contiguous run of standard normals; the state returned is
+    each row's last value, (rows, p). Passing back a (1, p) state continues
+    that realization, the rows following each other in order, and the state
+    returned is the last row's last value. IID noise carries no state (None).
+
+    The state is y(t-1) itself, not lfilter's alpha y(t-1). The AR(1)
+    filter y(t) = w(t) + alpha y(t-1) runs as a scan over a time-major copy
+    of the scaled normals, one vector step per time step across all lanes.
+    Each row is cut into chunks of _SCAN_CHUNK steps counted from its start,
+    and all chunks are scanned from zero at once, except that a fresh row's
+    first chunk starts from its state: a restart-record window of one chunk
+    is thus the plain recursion from y(-1), bit for bit what scipy's lfilter
+    gave. The carry into every other chunk, y just before it, is chained
+    through the chunk ends by `_chain` (within a row, or across the rows of
+    a continued realization in order), and alpha^(t+1) carry is added at
+    the chunk's step t. Those values move by rounding only, but the chain's
+    rounding depends on the rows of the call, so a continued realization
+    repeats its bits only when it is split into calls the same way.
+
+    The result goes to ``out``, a (rows, length, p) view of any strides or a
+    list of such views splitting the rows, or by default to a view of a
+    fresh (p, rows, length) array, each node's series contiguous for the
+    recursion. ``bufs`` keeps the scratch arrays, the normals and the scan,
+    for reuse by later calls.
     """
-    if noise.kind == "ar1" and zi is None:
-        z = rng.standard_normal((rows, length + 1, p))
-        sd_stat = float(np.sqrt(noise.sigma_w / (1.0 - noise.alpha**2)))
-        zi = noise.alpha * (sd_stat * z[:, :1, :])
-        w = z[:, 1:, :]
-    else:
-        w = rng.standard_normal((rows, length, p))
+    bufs = {} if bufs is None else bufs
+    if out is None:
+        out = np.empty((p, rows, length)).transpose(1, 2, 0)
+    fresh = noise.kind == "ar1" and zi is None
+    z = _scratch(bufs, "draw", (rows, length + fresh, p))
+    rng.standard_normal(out=z)
     sd = np.sqrt(noise.sigma_w)
-    if noise.kind == "iid" or length == 0:
-        # an empty input skips lfilter, which returns a garbage final state for it
-        return np.multiply(w.transpose(2, 0, 1), sd, order="C").transpose(1, 2, 0), zi
-    w *= sd
-    from scipy.signal import lfilter  # deferred: the import costs over a second
-
-    y, zi = lfilter([1.0], [1.0, -noise.alpha], w.transpose(2, 0, 1), axis=2,
-                    zi=zi.transpose(2, 0, 1))
-    return y.transpose(1, 2, 0), zi.transpose(1, 2, 0)
+    outs = out if isinstance(out, list) else [out]
+    bounds = np.cumsum([0] + [o.shape[0] for o in outs])
+    if noise.kind == "iid":
+        for dst, lo, hi in zip(outs, bounds, bounds[1:]):
+            # along the node-major output, which iterates faster than along z
+            np.multiply(z[lo:hi].transpose(2, 0, 1), sd, out=dst.transpose(2, 0, 1))
+        return out, None
+    alpha = noise.alpha
+    if fresh:
+        zi = float(np.sqrt(noise.sigma_w / (1.0 - alpha**2))) * z[:, 0, :]
+        z = z[:, 1:]
+    if length == 0:
+        return out, zi.copy()
+    c = min(_SCAN_CHUNK, length)
+    nck = -(-length // c)
+    rem = length - (nck - 1) * c
+    scan = _scratch(bufs, "scan", (c, p, rows, nck))
+    for src, dst in _chunk_views(z, scan):
+        np.multiply(src, sd, out=dst)
+    scan[rem:, ..., -1] = 0.0
+    if fresh:
+        scan[0, ..., 0] += alpha * zi.T
+    steps, step = list(scan), np.empty(scan.shape[1:])
+    for prev, cur in zip(steps, steps[1:]):
+        np.multiply(prev, alpha, out=step)
+        cur += step
+    if nck > 1 or not fresh:
+        # carry[k] = end[k-1] + alpha^len(k-1) carry[k-1], in stream order
+        carry = np.empty((p, rows, nck))
+        carry[..., 1:] = scan[c - 1, ..., :-1]
+        gain = np.full(rows * nck, alpha**c)
+        if fresh:  # each row's first chunk started from its own state
+            carry[..., 0] = 0.0
+            _chain(carry, gain[:nck])
+        else:
+            carry[:, 0, 0] = zi
+            carry[:, 1:, 0] = scan[rem - 1, :, :-1, -1]
+            gain[::nck] = alpha**rem
+            _chain(carry.reshape(p, rows * nck), gain)
+        lift = _scratch(bufs, "draw", scan.shape)
+        np.multiply(alpha ** np.arange(1, c + 1).reshape(c, 1, 1, 1), carry, out=lift)
+        scan += lift
+    for dst, lo, hi in zip(outs, bounds, bounds[1:]):
+        for rowwise, chunks in _chunk_views(dst, scan[:, :, lo:hi]):
+            rowwise[...] = chunks
+    state = scan[rem - 1, ..., -1].T
+    return out, (state if fresh else state[-1:]).copy()
 
 
 def iter_trajectory_blocks(
@@ -120,8 +216,10 @@ def iter_trajectory_blocks(
     windows. A continuous block runs it once over rows*N new steps of the
     one realization and the p-1 carried before them: a node at topological
     depth d reads only d steps back, so from step p-1 on each value takes
-    the same operations as in its segment's own window. Concatenating the
-    blocks reproduces ``simulate(...).data`` exactly, for any block size.
+    the same operations as in its segment's own window. The noise comes in
+    units of rows fixed by N and p alone, one `_noise` call each, split into
+    blocks of at most ``max_block_rows`` rows; so concatenating the blocks
+    reproduces ``simulate(...).data`` exactly, for any block size.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -129,6 +227,8 @@ def iter_trajectory_blocks(
         raise ConfigError(f"n must be >= 1, got {n}")
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
+    if max_block_rows is not None and max_block_rows < 1:
+        raise ConfigError(f"max_block_rows must be >= 1, got {max_block_rows}")
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
@@ -139,26 +239,30 @@ def iter_trajectory_blocks(
     restart = strategy == "restart_record"
 
     row_elems = (pre + big_n) * p if restart else big_n * p
-    rows_budget = max(1, _TARGET_BLOCK_ELEMS // row_elems)
-    if max_block_rows is not None:
-        rows_budget = min(rows_budget, int(max_block_rows))
+    unit_rows = max(1, _TARGET_BLOCK_ELEMS // row_elems)
+    block_rows = unit_rows if max_block_rows is None else min(unit_rows, int(max_block_rows))
+    bufs = {}
     if not restart:
         carry, zi = _noise(model.noise, rng, 1, pre, p)
-    done = 0
-    while done < n:
-        rows = min(rows_budget, n - done)
+    for first in range(0, n, unit_rows):
+        unit = min(unit_rows, n - first)
+        sizes = [min(block_rows, unit - b) for b in range(0, unit, block_rows)]
+        # fresh node-major blocks, each node's series contiguous for the recursion
         if restart:
-            x, _ = _noise(model.noise, rng, rows, pre + big_n, p)
+            xs = [np.empty((p, rows, pre + big_n)).transpose(1, 2, 0) for rows in sizes]
+            _noise(model.noise, rng, unit, pre + big_n, p, out=xs, bufs=bufs)
         else:
-            path, zi = _noise(model.noise, rng, 1, rows * big_n, p, zi)
-            # concatenate keeps the node-major layout of its inputs
-            x = np.concatenate([carry, path], axis=1)
-            carry = x[:, x.shape[1] - pre :].copy(order="K")
-        # x(t) = B x(t-1) + e(t), one pass along time per edge of B
-        for j, k, coef in edges:
-            x[:, 1:, j] += coef * x[:, :-1, k]
-        yield x[:, pre:] if restart else x[0, pre:].reshape(rows, big_n, p)
-        done += rows
+            xs = [np.empty((p, 1, pre + rows * big_n)).transpose(1, 2, 0) for rows in sizes]
+            paths = [x[0, pre:].reshape(rows, big_n, p) for x, rows in zip(xs, sizes)]
+            zi = _noise(model.noise, rng, unit, big_n, p, zi, out=paths, bufs=bufs)[1]
+        for x, rows in zip(xs, sizes):
+            if not restart:
+                x[:, :pre] = carry
+                carry = x[:, x.shape[1] - pre :].copy()
+            # x(t) = B x(t-1) + e(t), one pass along time per edge of B
+            for j, k, coef in edges:
+                x[:, 1:, j] += coef * x[:, :-1, k]
+            yield x[:, pre:] if restart else x[0, pre:].reshape(rows, big_n, p)
 
 
 def simulate(

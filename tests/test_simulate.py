@@ -1,17 +1,23 @@
 """Trajectory generation under both sampling strategies, by the VAR
 recursion over noise windows. Its values are checked against the
-moving-average form sum_k B^k e(t-k) on the same noise, and its moments
-against a naive zero-init recursion written in the tests, independently
-of the package."""
+moving-average form sum_k B^k e(t-k) on the same noise, its AR(1) noise
+against a step-by-step loop on the same normals, and its moments against
+a naive zero-init recursion written in the tests, independently of the
+package."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectradag
 from spectradag.errors import ConfigError
 from spectradag.graphs import Dag, random_dag
 from spectradag.models import NoiseSpec, build_model
@@ -53,6 +59,34 @@ class TestShapes:
             simulate(model, "continuous", 0, 4, seed=0)
         with pytest.raises(ConfigError):
             simulate(model, "continuous", 1, 0, seed=0)
+
+    @pytest.mark.parametrize("max_block_rows", [0, -1])
+    def test_max_block_rows_below_one_rejected(self, max_block_rows):
+        # 0 rows per block would yield empty blocks forever
+        model = build_model(edgeless(2), IID, seed=0)
+        blocks = iter_trajectory_blocks(model, "restart_record", 5, 4, seed=0,
+                                        max_block_rows=max_block_rows)
+        with pytest.raises(ConfigError):
+            next(blocks)
+
+    def test_sampling_imports_no_scipy(self):
+        # the AR(1) filter is numpy's own: sampling and estimation load no scipy
+        code = "\n".join([
+            "import sys",
+            "import spectradag",
+            "from spectradag.cpsd import sample_psdm",
+            "from spectradag.graphs import random_dag",
+            "from spectradag.models import NoiseSpec, build_model",
+            "model = build_model(random_dag(4, 2, seed=1), NoiseSpec('ar1', alpha=0.6), seed=1)",
+            "for strategy in ('restart_record', 'continuous'):",
+            "    sample_psdm(model, strategy, 30, 16, 0.5, seed=2)",
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))",
+        ])
+        src = str(Path(spectradag.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestDeterminism:
@@ -152,6 +186,54 @@ class TestMovingAverageOracle:
         got = np.concatenate(list(blocks), axis=0)
         want = moving_average_oracle(model, strategy, 10, 6, seed=17)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def ar1_noise_reference(noise, strategy, n, num_samples, p, seed):
+    """y(t) = w(t) + alpha y(t-1), one step at a time, on the package's own
+    normals for this seed.
+
+    The normals are redrawn in the sampler's call order, each row's (or the
+    one realization's) stationary initial state first. Draws of consecutive
+    calls form one stream, so one call stands for all of them.
+    """
+    rng = rng_from(seed)
+    pre = p - 1
+    if strategy == "restart_record":
+        z = rng.standard_normal((n, 1 + pre + num_samples, p))
+    else:
+        z = rng.standard_normal((1, 1 + pre + n * num_samples, p))
+    y = z[:, 1:] * np.sqrt(noise.sigma_w)
+    prev = float(np.sqrt(noise.sigma_w / (1.0 - noise.alpha**2))) * z[:, 0]
+    for t in range(y.shape[1]):
+        y[:, t] += noise.alpha * prev
+        prev = y[:, t]
+    return y[:, pre:].reshape(n, num_samples, p)
+
+
+class TestAr1ScanReference:
+    # with no edges a trajectory is its noise, so the blocks show the scan itself
+    @pytest.mark.parametrize("alpha", [0.6, 0.95])
+    @pytest.mark.parametrize(
+        "strategy, n, num_samples",
+        [("restart_record", 300, 64), ("restart_record", 300, 200),
+         ("continuous", 700, 64), ("continuous", 300, 300)],
+        ids=["restart-one-chunk", "restart-longer-than-chunk", "continuous",
+             "continuous-longer-than-chunk"],
+    )
+    def test_scan_equals_sequential_loop(self, alpha, strategy, n, num_samples):
+        # windows of p-1+N = 66 steps fit one 128-step chunk, 202 take two; the
+        # continuous cases span two and three sampling units
+        noise = NoiseSpec(kind="ar1", sigma_w=0.5, alpha=alpha)
+        model = build_model(edgeless(3), noise, seed=0)
+        want = ar1_noise_reference(noise, strategy, n, num_samples, 3, seed=23)
+        for max_block_rows in (1, 3, None):
+            blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed=23,
+                                            max_block_rows=max_block_rows)
+            got = np.concatenate(list(blocks), axis=0)
+            if strategy == "restart_record" and num_samples + 2 <= 128:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestDistribution:
