@@ -108,8 +108,6 @@ def _emit(text: str, path) -> None:
 
 
 def _cmd_gen(args) -> None:
-    if args.seed < 0 or args.trial < 0:
-        raise ConfigError("seed and trial must be nonnegative")
     model = trial_model(args.p, args.q, _noise_from_flags(args), args.seed, args.trial)
     _emit(model_to_json(model), args.out_model)
     if args.out_dag is not None:

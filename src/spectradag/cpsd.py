@@ -114,7 +114,6 @@ def sample_psdm(
     num_samples: int,
     omega: float,
     seed,
-    max_block_rows=None,
 ) -> PsdmEstimate:
     """Simulate and estimate in one streaming pass, keeping only DFT rows.
 
@@ -122,13 +121,13 @@ def sample_psdm(
     DFT rows at omega as it is generated, against one basis per call; the
     parts are made complex once, and one Gram over all n rows ends the pass.
     A row's DFT does not depend on the block it came in, so this equals
-    ``estimate_psdm(simulate(...), omega)`` exactly, for any block size.
+    ``estimate_psdm(simulate(...), omega)`` exactly.
     Memory stays near one block's working arrays plus the DFT rows (640 KB
     at p=10, n=4000, held twice while they are joined), where
     ``simulate`` holds all n*N*p reals.
     """
     basis = _dft_basis(num_samples, omega)
-    blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed, max_block_rows)
+    blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed)
     xw = _complex_rows(np.concatenate([np.matmul(basis, block) for block in blocks]))
     return _gram_estimate(xw, omega, num_samples)
 

@@ -23,7 +23,6 @@ kind's first cell. Byte-identical CSV output across runs requires
 from __future__ import annotations
 
 import json
-import operator
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -32,7 +31,7 @@ import numpy as np
 
 from .bounds import psdm_tail_bound
 from .cpsd import default_gamma, sample_psdm
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .graphs import graph_equal, random_dag, structural_hamming
 from .linalg import spectral_norm
 from .models import NoiseSpec, build_model, expected_psdm_finite_n
@@ -79,14 +78,6 @@ def _as_noise_tuple(value) -> tuple[NoiseSpec, ...]:
     return specs
 
 
-def _as_int(name: str, value) -> int:
-    """Python or numpy integers only: 6.0 or 3.5 is a ConfigError, not rounded."""
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
-
-
 def _as_strategies(value) -> tuple[str, ...]:
     if isinstance(value, str):
         value = (value,)
@@ -118,12 +109,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("p", "q", "num_samples", "omega_index", "trials", "seed"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if not (0 <= self.q <= self.p - 1):
             raise ConfigError(f"q must satisfy 0 <= q <= p-1, got q={self.q}")
-        grid = tuple(_as_int("n_grid entry", n) for n in self.n_grid)
+        grid = tuple(as_int("n_grid entry", n) for n in self.n_grid)
         if not grid:
             raise ConfigError("n_grid must be nonempty")
         if any(n < 1 for n in grid):

@@ -2,8 +2,9 @@
 
 Everything here is a thin, contract-carrying wrapper over numpy primitives:
 Hermitian positive-definite solves with a ridge rescue for rank-deficient
-sample matrices, the spectral norm, and the discrete Lyapunov fixed point
-used for stationary covariances.
+sample matrices and the spectral norm. Stationary covariances need no
+solver here: `models` sums them in closed form over the powers of a
+nilpotent B.
 All complex arithmetic is double precision.
 """
 
@@ -114,36 +115,3 @@ def spectral_norm(a):
     norms = np.sqrt(np.maximum(top, 0.0))
     return float(norms) if norms.ndim == 0 else norms
 
-
-def lyapunov_solve(f, s, *, tol: float = 1e-12, max_iter: int = 10**6) -> np.ndarray:
-    """Fixed point of ``X = F X F^T + S`` for a strictly stable F.
-
-    Parameters
-    ----------
-    f : (d, d) real array_like with spectral radius < 1
-    s : (d, d) real symmetric PSD array_like
-
-    Returns
-    -------
-    (d, d) symmetric ndarray
-
-    Raises
-    ------
-    NumericalError
-        "unstable system" if the iteration has not converged (successive
-        iterates within ``tol`` in max-abs) after ``max_iter`` steps.
-    """
-    f = np.asarray(f, dtype=float)
-    s = np.asarray(s, dtype=float)
-    s = 0.5 * (s + s.T)
-    x = s.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            x_next = f @ x @ f.T + s
-            x_next = 0.5 * (x_next + x_next.T)
-            if not np.all(np.isfinite(x_next)):
-                break
-            if np.max(np.abs(x_next - x)) <= tol:
-                return x_next
-            x = x_next
-    raise NumericalError("unstable system")

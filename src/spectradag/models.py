@@ -9,7 +9,9 @@ w(t). Both give a noise power spectral density of the form sigma(omega) I.
 Three oracles are exposed: the limiting power spectral density matrix
 (PSDM), the autocorrelation sequence R(k), and the expected value of the
 finite-sample spectrogram estimator, which differs from the limit by a
-finite-length bias.
+finite-length bias. B is nilpotent on a DAG, so x(t) is a finite moving
+average of the noise and R(k) is a finite sum over the nonzero powers of
+B, exact at any noise scale: no iteration and no tolerance.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, as_int
 from .graphs import Dag
-from .linalg import lyapunov_solve, spectral_norm
+from .linalg import spectral_norm
 from .seeding import rng_from
 
 # Frequencies used for the model's eigenvalue envelope (m_bound) when the
@@ -30,7 +32,7 @@ from .seeding import rng_from
 DEFAULT_MODEL_OMEGA_GRID = 2.0 * np.pi * np.arange(64) / 64.0
 
 # Lags used to fit the autocorrelation decay envelope (c_decay, rho).
-DEFAULT_FIT_LAGS = 64
+FIT_LAGS = 64
 
 _NOISE_KINDS = ("iid", "ar1")
 
@@ -133,28 +135,29 @@ def exact_psdm(model: LdsModel, omega: float) -> np.ndarray:
 
 
 def _autocorr_from_b(b: np.ndarray, noise: NoiseSpec, max_lag: int) -> np.ndarray:
-    p = b.shape[0]
-    if noise.kind == "iid":
-        r0 = lyapunov_solve(b, noise.sigma_w * np.eye(p))
-        out = np.empty((max_lag + 1, p, p))
-        out[0] = r0
-        for k in range(1, max_lag + 1):
-            out[k] = b @ out[k - 1]
-        return out
-    # AR(1): augment the state with the noise, z = (x, e); the innovation w
-    # enters both blocks, so its covariance couples them.
-    alpha = noise.alpha
-    eye = np.eye(p)
-    f = np.block([[b, alpha * eye], [np.zeros((p, p)), alpha * eye]])
-    s = noise.sigma_w * np.block([[eye, eye], [eye, eye]])
-    rz = lyapunov_solve(f, s)
-    out = np.empty((max_lag + 1, p, p))
-    out[0] = rz[:p, :p]
-    cur = rz
-    for k in range(1, max_lag + 1):
-        cur = f @ cur
-        out[k] = cur[:p, :p]
-    return out
+    """R(0..max_lag) by the finite sum over the nonzero powers of B.
+
+    B is supported on a DAG, so B^(d+1) = 0 for some d < p: a product of
+    structural zeros is an exact zero, so the powers end without a
+    tolerance. u(t) = sum_k B^k w(t-k), the VAR on the innovations, has
+    R_u(k) = sigma_w B^k G with G = sum_j B^j B^jT, and R_u(-k) = R_u(k)^T.
+    AR(1) noise filters u once more, x(t) = sum_m alpha^m u(t-m), so
+    R(h) = sum_{|k| <= d} alpha^|h-k| R_u(k) / (1 - alpha^2); IID noise is
+    alpha = 0, where only k = h is left.
+    """
+    powers = [np.eye(b.shape[0])]
+    for _ in range(b.shape[0] - 1):
+        nxt = b @ powers[-1]
+        if not nxt.any():
+            break
+        powers.append(nxt)
+    side = np.concatenate(powers, axis=1)
+    ru = noise.sigma_w * (np.stack(powers) @ (side @ side.T))
+    stack = np.concatenate([ru[:0:-1].transpose(0, 2, 1), ru])
+    d = len(powers) - 1
+    lags = np.arange(max_lag + 1)[:, None] - np.arange(-d, d + 1)
+    coef = noise.alpha ** np.abs(lags) / (1.0 - noise.alpha**2)
+    return (coef @ stack.reshape(2 * d + 1, -1)).reshape(max_lag + 1, *b.shape)
 
 
 def autocorr(model: LdsModel, max_lag: int) -> np.ndarray:
@@ -187,13 +190,7 @@ def expected_psdm_finite_n(model: LdsModel, omega: float, num_samples: int) -> n
     return 0.5 * (out + out.conj().T)
 
 
-def build_model(
-    dag: Dag,
-    noise: NoiseSpec,
-    seed,
-    omega_grid=None,
-    fit_lags: int = DEFAULT_FIT_LAGS,
-) -> LdsModel:
+def build_model(dag: Dag, noise: NoiseSpec, seed, omega_grid=None) -> LdsModel:
     """Draw edge weights and compute the model-class constants.
 
     Each edge weight is a Rademacher sign times Uniform(0.5, 1); the whole
@@ -201,8 +198,8 @@ def build_model(
     with a thin margin (skipped for an edgeless graph). The constants
     record the post-scaling weight floor beta, the PSDM eigenvalue
     envelope m_bound over `omega_grid` (64 uniform frequencies by
-    default), and a fitted autocorrelation decay envelope (c_decay, rho)
-    that the test suite asserts against all computed lags.
+    default), and an autocorrelation decay envelope (c_decay, rho) fitted
+    to lags 0..FIT_LAGS, which the test suite asserts against all of them.
     """
     rng = rng_from(seed)
     p = dag.p
@@ -223,7 +220,7 @@ def build_model(
     eigs = np.linalg.eigvalsh(_psdm_from_b(b, noise, grid))
     m_bound = float(np.max(np.concatenate([eigs[:, -1], 1.0 / eigs[:, 0]]), initial=1.0))
 
-    c_decay, rho = _fit_decay(spectral_norm(_autocorr_from_b(b, noise, fit_lags)))
+    c_decay, rho = _fit_decay(spectral_norm(_autocorr_from_b(b, noise, FIT_LAGS)))
     constants = ModelConstants(beta=beta, m_bound=m_bound, c_decay=c_decay, rho=rho)
     return LdsModel(dag=dag, b=b, noise=noise, constants=constants)
 
@@ -281,13 +278,17 @@ def model_to_json(model: LdsModel) -> str:
 
 
 def model_from_json(text: str) -> LdsModel:
-    """Parse `model_to_json` output; all Dag/LdsModel invariants re-checked."""
+    """Parse `model_to_json` output; all Dag/LdsModel invariants re-checked.
+
+    p, edge endpoints and order entries must be JSON integers: 3.9 is a
+    ConfigError, not node 3.
+    """
     try:
         doc = json.loads(text)
         dag = Dag(
-            p=int(doc["p"]),
-            edges=frozenset((int(j), int(i)) for j, i in doc["edges"]),
-            order=tuple(int(v) for v in doc["order"]),
+            p=as_int("p", doc["p"]),
+            edges=frozenset((as_int("edge", j), as_int("edge", i)) for j, i in doc["edges"]),
+            order=tuple(as_int("order entry", v) for v in doc["order"]),
         )
         noise = NoiseSpec(
             kind=doc["noise"]["kind"],

@@ -22,11 +22,10 @@ about 2^17 values (1 MiB), their normals drawn into one scratch buffer
 reused for the whole call, small enough that a unit's noise, the
 recursion over it and its DFT in `cpsd.sample_psdm` stay in one core's
 L2 cache: each pass over a unit then reads cache, not DRAM. A unit's
-size depends on N and p alone, and draw order is block-size invariant
-(each restart-record trajectory consumes a contiguous run of normals;
-the continuous realization consumes one sequential stream), so the
-streaming consumer `iter_trajectory_blocks` reproduces `simulate`
-exactly, whatever its block size.
+size depends on N and p alone, and `iter_trajectory_blocks` yields one
+block per unit, which `simulate` concatenates. Each restart-record
+trajectory consumes a contiguous run of normals and the continuous
+realization one sequential stream.
 
 `save_trajectories` stores a set as one array file, trajectories.npy,
 next to a manifest.json of its strategy, sizes, seed and model hash.
@@ -140,11 +139,10 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None, out=N
     rounding depends on the rows of the call, so a continued realization
     repeats its bits only when it is split into calls the same way.
 
-    The result goes to ``out``, a (rows, length, p) view of any strides or a
-    list of such views splitting the rows, or by default to a view of a
-    fresh (p, rows, length) array, each node's series contiguous for the
-    recursion. ``bufs`` keeps the scratch arrays, the normals and the scan,
-    for reuse by later calls.
+    The result goes to ``out``, a (rows, length, p) view of any strides, or
+    by default to a view of a fresh (p, rows, length) array, each node's
+    series contiguous for the recursion. ``bufs`` keeps the scratch arrays,
+    the normals and the scan, for reuse by later calls.
     """
     bufs = {} if bufs is None else bufs
     if out is None:
@@ -153,12 +151,9 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None, out=N
     z = _scratch(bufs, "draw", (rows, length + fresh, p))
     rng.standard_normal(out=z)
     sd = np.sqrt(noise.sigma_w)
-    outs = out if isinstance(out, list) else [out]
-    bounds = np.cumsum([0] + [o.shape[0] for o in outs])
     if noise.kind == "iid":
-        for dst, lo, hi in zip(outs, bounds, bounds[1:]):
-            # along the node-major output, which iterates faster than along z
-            np.multiply(z[lo:hi].transpose(2, 0, 1), sd, out=dst.transpose(2, 0, 1))
+        # along the node-major output, which iterates faster than along z
+        np.multiply(z.transpose(2, 0, 1), sd, out=out.transpose(2, 0, 1))
         return out, None
     alpha = noise.alpha
     if fresh:
@@ -195,31 +190,22 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None, out=N
         lift = _scratch(bufs, "draw", scan.shape)
         np.multiply(alpha ** np.arange(1, c + 1).reshape(c, 1, 1, 1), carry, out=lift)
         scan += lift
-    for dst, lo, hi in zip(outs, bounds, bounds[1:]):
-        for rowwise, chunks in _chunk_views(dst, scan[:, :, lo:hi]):
-            rowwise[...] = chunks
+    for rowwise, chunks in _chunk_views(out, scan):
+        rowwise[...] = chunks
     state = scan[rem - 1, ..., -1].T
     return out, (state if fresh else state[-1:]).copy()
 
 
-def iter_trajectory_blocks(
-    model: LdsModel,
-    strategy: str,
-    n: int,
-    num_samples: int,
-    seed,
-    max_block_rows=None,
-):
+def iter_trajectory_blocks(model: LdsModel, strategy: str, n: int, num_samples: int, seed):
     """Yield the trajectory array in (rows, N, p) blocks, bounding memory.
 
-    A restart-record block runs the recursion in place over ``rows`` fresh
-    windows. A continuous block runs it once over rows*N new steps of the
-    one realization and the p-1 carried before them: a node at topological
-    depth d reads only d steps back, so from step p-1 on each value takes
-    the same operations as in its segment's own window. The noise comes in
-    units of rows fixed by N and p alone, one `_noise` call each, split into
-    blocks of at most ``max_block_rows`` rows; so concatenating the blocks
-    reproduces ``simulate(...).data`` exactly, for any block size.
+    Each block is one unit of rows, fixed by N and p alone, from one
+    `_noise` call. A restart-record block runs the recursion in place over
+    ``rows`` fresh windows. A continuous block runs it once over rows*N new
+    steps of the one realization and the p-1 carried before them: a node at
+    topological depth d reads only d steps back, so from step p-1 on each
+    value takes the same operations as in its segment's own window.
+    Concatenating the blocks gives ``simulate(...).data``.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -227,8 +213,6 @@ def iter_trajectory_blocks(
         raise ConfigError(f"n must be >= 1, got {n}")
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
-    if max_block_rows is not None and max_block_rows < 1:
-        raise ConfigError(f"max_block_rows must be >= 1, got {max_block_rows}")
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
@@ -240,29 +224,25 @@ def iter_trajectory_blocks(
 
     row_elems = (pre + big_n) * p if restart else big_n * p
     unit_rows = max(1, _TARGET_BLOCK_ELEMS // row_elems)
-    block_rows = unit_rows if max_block_rows is None else min(unit_rows, int(max_block_rows))
     bufs = {}
     if not restart:
         carry, zi = _noise(model.noise, rng, 1, pre, p)
     for first in range(0, n, unit_rows):
-        unit = min(unit_rows, n - first)
-        sizes = [min(block_rows, unit - b) for b in range(0, unit, block_rows)]
-        # fresh node-major blocks, each node's series contiguous for the recursion
+        rows = min(unit_rows, n - first)
+        # a fresh node-major block, each node's series contiguous for the recursion
         if restart:
-            xs = [np.empty((p, rows, pre + big_n)).transpose(1, 2, 0) for rows in sizes]
-            _noise(model.noise, rng, unit, pre + big_n, p, out=xs, bufs=bufs)
+            x = np.empty((p, rows, pre + big_n)).transpose(1, 2, 0)
+            _noise(model.noise, rng, rows, pre + big_n, p, out=x, bufs=bufs)
         else:
-            xs = [np.empty((p, 1, pre + rows * big_n)).transpose(1, 2, 0) for rows in sizes]
-            paths = [x[0, pre:].reshape(rows, big_n, p) for x, rows in zip(xs, sizes)]
-            zi = _noise(model.noise, rng, unit, big_n, p, zi, out=paths, bufs=bufs)[1]
-        for x, rows in zip(xs, sizes):
-            if not restart:
-                x[:, :pre] = carry
-                carry = x[:, x.shape[1] - pre :].copy()
-            # x(t) = B x(t-1) + e(t), one pass along time per edge of B
-            for j, k, coef in edges:
-                x[:, 1:, j] += coef * x[:, :-1, k]
-            yield x[:, pre:] if restart else x[0, pre:].reshape(rows, big_n, p)
+            x = np.empty((p, 1, pre + rows * big_n)).transpose(1, 2, 0)
+            path = x[0, pre:].reshape(rows, big_n, p)
+            zi = _noise(model.noise, rng, rows, big_n, p, zi, out=path, bufs=bufs)[1]
+            x[:, :pre] = carry
+            carry = x[:, x.shape[1] - pre :].copy()
+        # x(t) = B x(t-1) + e(t), one pass along time per edge of B
+        for j, k, coef in edges:
+            x[:, 1:, j] += coef * x[:, :-1, k]
+        yield x[:, pre:] if restart else path
 
 
 def simulate(

@@ -91,6 +91,24 @@ def test_gen_infinite_noise_variance_exit_code_1(tmp_path):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "simulate", "tail"])
+def test_negative_seed_exit_code_1(tmp_path, capsys, command):
+    # numpy rejects a negative seed with a bare ValueError; the CLI reports it
+    model_path, _ = gen_model_files(tmp_path, p=3, q=1, seed=5)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--p", "3", "--q", "1", "--out-model", str(out)],
+        "simulate": ["simulate", "--model", str(model_path), "--strategy", "continuous",
+                     "--n", "2", "--num-samples", "4", "--out-dir", str(out)],
+        "tail": ["tail", "--p", "2", "--q", "1", "--n", "10", "--num-samples", "8",
+                 "--trials", "100", "--omega-index", "1", "--out", str(out)],
+    }[command]
+    assert run_cli(*argv, "--seed", "-1") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / estimate
 

@@ -438,17 +438,17 @@ class TestEstimatePsdm:
 
 
 class TestSamplePsdm:
-    @pytest.mark.parametrize("max_block_rows", [1, 3, 37, None])
+    @pytest.mark.parametrize("n", [1, 3, 37, 2500])
     @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
-    def test_streaming_equals_materialized(self, strategy, max_block_rows):
+    def test_streaming_equals_materialized(self, strategy, n):
+        # at p=4, N=32 a sampling unit holds about 1000 rows, so n=2500
+        # streams three blocks and the smaller n one partial block
         model = build_model(random_dag(4, 2, seed=61), AR1, seed=61)
         w = 2 * np.pi * 7 / 32
-        direct = estimate_psdm(simulate(model, strategy, 300, 32, seed=88), w)
-        streamed = sample_psdm(
-            model, strategy, 300, 32, w, seed=88, max_block_rows=max_block_rows
-        )
+        direct = estimate_psdm(simulate(model, strategy, n, 32, seed=88), w)
+        streamed = sample_psdm(model, strategy, n, 32, w, seed=88)
         assert np.array_equal(streamed.matrix, direct.matrix)
-        assert streamed.n == 300 and streamed.num_samples == 32
+        assert streamed.n == n and streamed.num_samples == 32
 
     @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
     def test_memory_stays_bounded(self, strategy):

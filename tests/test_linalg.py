@@ -1,9 +1,9 @@
 """Numeric core: the estimator's single-frequency DFT, Hermitian solves,
-spectral norm, discrete Lyapunov fixed point.
+spectral norm.
 
 Each routine is checked against an independently coded oracle (naive
-summation, residual evaluation, power iteration, truncated matrix-power
-series) before any property tests.
+summation, residual evaluation, power iteration) before any property
+tests.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from spectradag.errors import NumericalError
 from spectradag.linalg import (
     hermitian_residual,
     hermitian_solve,
-    lyapunov_solve,
     spectral_norm,
 )
 
@@ -178,47 +177,6 @@ class TestSpectralNorm:
             assert got.shape == shape[:-2]
             for idx in np.ndindex(*shape[:-2]):
                 assert got[idx] == spectral_norm(a[idx])
-
-
-class TestLyapunovSolve:
-    def test_zero_transition(self):
-        s = np.array([[2.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(lyapunov_solve(np.zeros((2, 2)), s), s, atol=1e-12)
-
-    def test_scalar_geometric_series(self):
-        x = lyapunov_solve(np.array([[0.5]]), np.array([[1.0]]))
-        assert x[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-10)
-
-    def test_nilpotent_direct_powers_oracle(self):
-        rng = np.random.default_rng(31)
-        for dim in (3, 5, 8):
-            f = np.tril(rng.standard_normal((dim, dim)), k=-1)
-            got = lyapunov_solve(f, np.eye(dim))
-            # nilpotent transition: the series is the finite sum of F^k (F^k)^T
-            want = np.zeros((dim, dim))
-            fk = np.eye(dim)
-            for _ in range(dim):
-                want += fk @ fk.T
-                fk = f @ fk
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_fixed_point_residual(self):
-        rng = np.random.default_rng(32)
-        for _ in range(10):
-            f = rng.standard_normal((4, 4))
-            f *= 0.6 / max(spectral_norm(f), 1e-12)
-            g = rng.standard_normal((4, 4))
-            s = g @ g.T
-            x = lyapunov_solve(f, s)
-            resid = np.max(np.abs(x - f @ x @ f.T - s))
-            assert resid <= 1e-10 * (1.0 + np.max(np.abs(s)))
-            # solution is symmetric PSD
-            np.testing.assert_allclose(x, x.T, atol=1e-12)
-            assert np.min(np.linalg.eigvalsh(x)) >= -1e-10
-
-    def test_unstable_system_rejected(self):
-        with pytest.raises(NumericalError, match="unstable system"):
-            lyapunov_solve(np.array([[1.1]]), np.array([[1.0]]))
 
 
 class TestHermitianResidual:

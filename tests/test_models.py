@@ -8,6 +8,7 @@ and the simulation code cannot share a bug.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -235,6 +236,44 @@ class TestAutocorr:
         model = build_model(random_dag(4, 1, seed=0), IID, seed=0)
         assert autocorr(model, 10).shape == (11, 4, 4)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 0.95])
+    @pytest.mark.parametrize("sigma_w", [1e-12, 0.5, 1e10])
+    def test_double_sum_oracle(self, sigma_w, alpha):
+        # x(t) = sum_{j<p} B^j e(t-j) and E[e(t+h) e(t)^T] = sigma_w alpha^|h| / (1 - alpha^2),
+        # so R(h) = sigma_w / (1 - alpha^2) sum_{j,k<p} alpha^|h-j+k| B^j B^kT
+        noise = NoiseSpec("ar1", sigma_w, alpha) if alpha else NoiseSpec("iid", sigma_w)
+        for p in (1, 5, 10, 20):
+            edges = frozenset((i, i + 1) for i in range(p - 1))
+            path = Dag(p=p, edges=edges, order=tuple(range(p)))
+            for dag in (path, random_dag(p, min(3, p - 1), seed=p)):
+                model = build_model(dag, noise, seed=p)
+                powers = [np.linalg.matrix_power(model.b, j) for j in range(p)]
+                want = np.zeros((71, p, p))
+                for h in range(71):
+                    for j, k in itertools.product(range(p), repeat=2):
+                        want[h] += alpha ** abs(h - j + k) * (powers[j] @ powers[k].T)
+                want *= sigma_w / (1.0 - alpha**2)
+                got = autocorr(model, 70)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_second_order_statistics_are_unit_free(self):
+        # the noise variance only scales R, its Fejer sum and c_decay, and leaves rho
+        omega = 2 * np.pi * 17 / 64
+        for p, q, kind, alpha in [(6, 2, "iid", 0.0), (10, 3, "ar1", 0.6), (10, 1, "ar1", 0.95)]:
+            stats = []
+            for sigma_w in (1e-12, 1.0, 1e12):
+                noise = NoiseSpec(kind, sigma_w, alpha)
+                model = build_model(random_dag(p, q, seed=p), noise, seed=q)
+                stats.append([
+                    autocorr(model, 70) / sigma_w,
+                    expected_psdm_finite_n(model, omega, 64) / sigma_w,
+                    model.constants.c_decay / sigma_w,
+                    model.constants.rho,
+                ])
+            for got in stats[::2]:
+                for a, b in zip(got, stats[1]):
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
 
 class TestExpectedPsdmFiniteN:
     def test_pure_noise_every_n(self):
@@ -274,6 +313,20 @@ class TestModelJson:
         assert back.dag.edges == model.dag.edges
         assert back.noise == model.noise
         assert back.constants.m_bound == pytest.approx(model.constants.m_bound)
+
+    @pytest.mark.parametrize("field", ["p", "edge", "order"])
+    def test_non_integer_entries_rejected(self, field):
+        # 3.9 must not load as 3, nor an edge [0.5, 1] as (0, 1)
+        model = build_model(random_dag(4, 1, seed=1), IID, seed=1)
+        doc = json.loads(model_to_json(model))
+        if field == "p":
+            doc["p"] = 4.9
+        elif field == "edge":
+            doc["edges"][0][0] += 0.5
+        else:
+            doc["order"][0] += 0.25
+        with pytest.raises(ConfigError, match="must be an integer"):
+            model_from_json(json.dumps(doc))
 
     def test_support_mismatch_rejected(self):
         model = build_model(random_dag(3, 1, seed=0), IID, seed=0)

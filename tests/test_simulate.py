@@ -60,15 +60,6 @@ class TestShapes:
         with pytest.raises(ConfigError):
             simulate(model, "continuous", 1, 0, seed=0)
 
-    @pytest.mark.parametrize("max_block_rows", [0, -1])
-    def test_max_block_rows_below_one_rejected(self, max_block_rows):
-        # 0 rows per block would yield empty blocks forever
-        model = build_model(edgeless(2), IID, seed=0)
-        blocks = iter_trajectory_blocks(model, "restart_record", 5, 4, seed=0,
-                                        max_block_rows=max_block_rows)
-        with pytest.raises(ConfigError):
-            next(blocks)
-
     def test_sampling_imports_no_scipy(self):
         # the AR(1) filter is numpy's own: sampling and estimation load no scipy
         code = "\n".join([
@@ -104,16 +95,16 @@ class TestDeterminism:
         assert not np.array_equal(a.data, b.data)
 
     def test_block_iterator_matches_simulate(self):
-        # the streaming generator must reproduce simulate()'s draws exactly
+        # the streaming generator must reproduce simulate()'s draws exactly;
+        # 17000 rows of N=8 span two sampling units at p=1 and four at p=3
         for p in (1, 3):
             for noise in (IID, AR1):
                 model = build_model(random_dag(p, min(1, p - 1), seed=2), noise, seed=2)
                 for strategy in ("restart_record", "continuous"):
-                    full = simulate(model, strategy, 50, 8, seed=11)
-                    blocks = list(iter_trajectory_blocks(model, strategy, 50, 8, seed=11,
-                                                         max_block_rows=7))
+                    full = simulate(model, strategy, 17000, 8, seed=11)
+                    blocks = list(iter_trajectory_blocks(model, strategy, 17000, 8, seed=11))
                     np.testing.assert_array_equal(np.concatenate(blocks, axis=0), full.data)
-                    assert max(b.shape[0] for b in blocks) <= 7
+                    assert len(blocks) >= 2
 
     @pytest.mark.parametrize(
         "p, noise, strategy, digest",
@@ -172,20 +163,21 @@ class TestMovingAverageOracle:
     @pytest.mark.parametrize("dag", [PATH8, REVERSED8], ids=["path", "reversed-path"])
     @pytest.mark.parametrize("noise", [IID, AR1], ids=["iid", "ar1"])
     @pytest.mark.parametrize(
-        "strategy, max_block_rows",
-        [("restart_record", None), ("continuous", None), ("continuous", 3)],
-        ids=["restart", "continuous", "continuous-3-row-blocks"],
+        "strategy, n",
+        [("restart_record", 10), ("continuous", 10), ("continuous", 3000)],
+        ids=["restart", "continuous", "continuous-two-units"],
     )
-    def test_recursion_equals_moving_average(self, dag, noise, strategy, max_block_rows):
+    def test_recursion_equals_moving_average(self, dag, noise, strategy, n):
         # a path DAG has B^7 != 0, so every one of the p-1 leading steps counts;
-        # 3-row continuous blocks put window starts in the block before
+        # 3000 continuous rows of N=6 at p=8 span two sampling units, so the
+        # second unit's first windows start in the carry from the first
         model = build_model(dag, noise, seed=3)
         assert np.any(np.linalg.matrix_power(model.b, 7))
-        blocks = iter_trajectory_blocks(model, strategy, 10, 6, seed=17,
-                                        max_block_rows=max_block_rows)
-        got = np.concatenate(list(blocks), axis=0)
-        want = moving_average_oracle(model, strategy, 10, 6, seed=17)
+        blocks = list(iter_trajectory_blocks(model, strategy, n, 6, seed=17))
+        got = np.concatenate(blocks, axis=0)
+        want = moving_average_oracle(model, strategy, n, 6, seed=17)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert len(blocks) == (2 if n == 3000 else 1)
 
 
 def ar1_noise_reference(noise, strategy, n, num_samples, p, seed):
@@ -215,25 +207,24 @@ class TestAr1ScanReference:
     @pytest.mark.parametrize("alpha", [0.6, 0.95])
     @pytest.mark.parametrize(
         "strategy, n, num_samples",
-        [("restart_record", 300, 64), ("restart_record", 300, 200),
+        [("restart_record", 700, 64), ("restart_record", 300, 200),
          ("continuous", 700, 64), ("continuous", 300, 300)],
         ids=["restart-one-chunk", "restart-longer-than-chunk", "continuous",
              "continuous-longer-than-chunk"],
     )
     def test_scan_equals_sequential_loop(self, alpha, strategy, n, num_samples):
-        # windows of p-1+N = 66 steps fit one 128-step chunk, 202 take two; the
-        # continuous cases span two and three sampling units
+        # windows of p-1+N = 66 steps fit one 128-step chunk, 202 take two;
+        # every case spans two or three sampling units
         noise = NoiseSpec(kind="ar1", sigma_w=0.5, alpha=alpha)
         model = build_model(edgeless(3), noise, seed=0)
         want = ar1_noise_reference(noise, strategy, n, num_samples, 3, seed=23)
-        for max_block_rows in (1, 3, None):
-            blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed=23,
-                                            max_block_rows=max_block_rows)
-            got = np.concatenate(list(blocks), axis=0)
-            if strategy == "restart_record" and num_samples + 2 <= 128:
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        blocks = list(iter_trajectory_blocks(model, strategy, n, num_samples, seed=23))
+        assert len(blocks) >= 2
+        got = np.concatenate(blocks, axis=0)
+        if strategy == "restart_record" and num_samples + 2 <= 128:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestDistribution:
