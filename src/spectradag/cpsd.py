@@ -4,6 +4,12 @@ The estimator averages outer products of per-trajectory DFT coefficients:
 
     psdm_hat(w) = (1/n) * sum_r x^r(w) x^r(w)^*
 
+`sample_psdm` draws that estimate for a model. For restart-record
+sampling it draws the n DFT rows from their exact Gaussian law, without
+trajectories; for continuous sampling it streams the trajectories and is
+bit-equal to ``estimate_psdm(simulate(...))``. Restart-record draws equal
+that only in law.
+
 The conditional PSD of node i given a conditioning set C is the Schur
 complement of the C-block,
 
@@ -27,8 +33,9 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .graphs import structural_queries
 from .linalg import hermitian_solve, require_hermitian
-from .models import LdsModel, exact_psdm
-from .simulate import TrajectorySet, iter_trajectory_blocks
+from .models import LdsModel, dft_covariance, exact_psdm
+from .seeding import rng_from
+from .simulate import TrajectorySet, check_sampling, iter_trajectory_blocks
 
 # Tolerances on f values, relative to the PSDM scale trace(Phi)/p: imaginary
 # residue above IMAG_TOL raises; real values in [-NEG_TOL, 0) are clamped
@@ -115,17 +122,32 @@ def sample_psdm(
     omega: float,
     seed,
 ) -> PsdmEstimate:
-    """Simulate and estimate in one streaming pass, keeping only DFT rows.
+    """Sample the PSDM estimate of n trajectories of N steps at omega.
 
-    Each trajectory block is reduced to the real and imaginary parts of its
-    DFT rows at omega as it is generated, against one basis per call; the
-    parts are made complex once, and one Gram over all n rows ends the pass.
-    A row's DFT does not depend on the block it came in, so this equals
-    ``estimate_psdm(simulate(...), omega)`` exactly.
-    Memory stays near one block's working arrays plus the DFT rows (640 KB
-    at p=10, n=4000, held twice while they are joined), where
-    ``simulate`` holds all n*N*p reals.
+    restart_record draws the estimate from its exact law, with no
+    trajectories. The n windows are independent and exactly stationary,
+    so their DFT rows give iid Z_r = [Re X_r; Im X_r] ~ N(0, Sigma_Z), with
+    Sigma_Z from `dft_covariance`. Z = G S, for G an (n, 2p) standard-normal
+    matrix and S the symmetric PSD square root of Sigma_Z, which is unique
+    (no eigenvector sign enters) and covers a singular Sigma_Z. That is
+    n*2p normals, against n*(N+p-1)*p for the trajectories; the estimate
+    has the law of ``estimate_psdm(simulate(...), omega)`` but not its bits.
+
+    continuous streams the one realization: each trajectory block is
+    reduced to the real and imaginary parts of its DFT rows at omega as it
+    is generated, against one basis per call, and one Gram over all n rows
+    ends the pass. A row's DFT does not depend on the block it came in, so
+    this equals ``estimate_psdm(simulate(...), omega)`` exactly. Memory
+    stays near one block's working arrays plus the DFT rows (640 KB at
+    p=10, n=4000, held twice while they are joined), where ``simulate``
+    holds all n*N*p reals.
     """
+    check_sampling(strategy, n, num_samples)
+    if strategy == "restart_record":
+        lam, vec = np.linalg.eigh(dft_covariance(model, omega, num_samples))
+        root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+        z = rng_from(seed).standard_normal((n, 2 * model.p)) @ root
+        return _gram_estimate(_complex_rows(z.reshape(n, 2, model.p)), omega, num_samples)
     basis = _dft_basis(num_samples, omega)
     blocks = iter_trajectory_blocks(model, strategy, n, num_samples, seed)
     xw = _complex_rows(np.concatenate([np.matmul(basis, block) for block in blocks]))

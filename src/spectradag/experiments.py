@@ -9,6 +9,11 @@ Stream derivation contract (pinned by the test suite's inline oracle):
 - recovery data for a cell:        (seed, STREAM_DATA, kind_code, trial, strategy_code, n)
 - tail replicate r:                (seed, STREAM_TAIL, strategy_code, r)
 
+Each stream feeds one `sample_psdm` call. A restart-record draw consumes
+n*2p normals, its n DFT rows drawn from their exact law; a continuous draw
+consumes the (n*N + p - 1)*p normals of one realization (p more for the
+stationary start of AR(1) noise).
+
 Models are therefore shared across strategies and trajectory counts (paired
 comparisons), while every data draw is independent. Execution is sequential;
 because each job's stream is derived, not consumed in order, results do not

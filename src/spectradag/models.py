@@ -170,6 +170,30 @@ def autocorr(model: LdsModel, max_lag: int) -> np.ndarray:
     return _autocorr_from_b(model.b, model.noise, int(max_lag))
 
 
+def _dft_moments(model: LdsModel, omega: float, num_samples: int):
+    """E[X X^*] and E[X X^T] for X = sum_t x(t) e^{-i omega t} / sqrt(N), the
+    DFT of one stationary window of N samples.
+
+    With e_t = e^{-i omega t} / sqrt(N), both are lag sums of R(k): the
+    first weighs R(k) by sum_t e_{t+k} conj(e_t) = (N - k) e^{-i omega k} / N
+    and R(k)^T = R(-k) by its conjugate; the second weighs both by
+    sum_t e_{t+k} e_t = e^{-i omega k} sum_{t < N-k} e^{-2 i omega t} / N.
+    """
+    n = int(num_samples)
+    if n < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {n}")
+    omega = float(omega)
+    rr = _autocorr_from_b(model.b, model.noise, n - 1)
+    k = np.arange(n)
+    pseudo = np.exp(-1j * omega * k) * np.cumsum(np.exp(-2j * omega * k))[::-1] / n
+    k = k[1:]
+    pos = np.einsum("k,kab->ab", (n - k) / n * np.exp(-1j * omega * k), rr[1:])
+    herm = rr[0] + pos + pos.conj().T
+    pos = np.einsum("k,kab->ab", pseudo[1:], rr[1:])
+    sym = pseudo[0] * rr[0] + pos + pos.T
+    return 0.5 * (herm + herm.conj().T), 0.5 * (sym + sym.T)
+
+
 def expected_psdm_finite_n(model: LdsModel, omega: float, num_samples: int) -> np.ndarray:
     """Expected value of the length-N spectrogram estimate.
 
@@ -177,17 +201,22 @@ def expected_psdm_finite_n(model: LdsModel, omega: float, num_samples: int) -> n
     (1/N) * sum_{|k| < N} (N - |k|) R(k) e^{-i omega k}. Converges to the
     population PSDM as N grows.
     """
-    n = int(num_samples)
-    if n < 1:
-        raise ConfigError(f"num_samples must be >= 1, got {n}")
-    rr = _autocorr_from_b(model.b, model.noise, n - 1)
-    out = rr[0].astype(complex)
-    if n > 1:
-        k = np.arange(1, n)
-        coef = (n - k) / n * np.exp(-1j * float(omega) * k)
-        pos = np.einsum("k,kab->ab", coef, rr[1:])
-        out = out + pos + pos.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _dft_moments(model, omega, num_samples)[0]
+
+
+def dft_covariance(model: LdsModel, omega: float, num_samples: int) -> np.ndarray:
+    """(2p, 2p) covariance of Z = [Re X; Im X], X the length-N DFT at omega
+    of one stationary window (see `_dft_moments`).
+
+    From Phi = E[X X^*] and C = E[X X^T]: Cov(Re X) = Re(Phi + C) / 2,
+    Cov(Im X) = Re(Phi - C) / 2 and Cov(Re X, Im X) = Im(C - Phi) / 2. It is
+    singular where Im X vanishes: at N = 1 and at omega in {0, pi}.
+    """
+    phi, c = _dft_moments(model, omega, num_samples)
+    re_im = 0.5 * (c.imag - phi.imag)
+    return np.block(
+        [[0.5 * (phi.real + c.real), re_im], [re_im.T, 0.5 * (phi.real - c.real)]]
+    )
 
 
 def build_model(dag: Dag, noise: NoiseSpec, seed, omega_grid=None) -> LdsModel:

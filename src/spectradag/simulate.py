@@ -21,9 +21,11 @@ p-1 noise steps. AR(1) noise is filtered by a chunked numpy scan (see
 about 2^17 values (1 MiB), their normals drawn into one scratch buffer
 reused for the whole call, small enough that a unit's noise, the
 recursion over it and its DFT in `cpsd.sample_psdm` stay in one core's
-L2 cache: each pass over a unit then reads cache, not DRAM. A unit's
-size depends on N and p alone, and `iter_trajectory_blocks` yields one
-block per unit, which `simulate` concatenates. Each restart-record
+L2 cache: each pass over a unit then reads cache, not DRAM. (That
+streaming serves continuous sampling; `sample_psdm` draws restart-record
+estimates from their exact law, with no trajectories.) A unit's size
+depends on N and p alone, and `iter_trajectory_blocks` yields one block
+per unit, which `simulate` concatenates. Each restart-record
 trajectory consumes a contiguous run of normals and the continuous
 realization one sequential stream.
 
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .models import LdsModel, NoiseSpec, model_hash
 from .seeding import rng_from
 
@@ -196,6 +198,16 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None, out=N
     return out, (state if fresh else state[-1:]).copy()
 
 
+def check_sampling(strategy: str, n: int, num_samples: int) -> None:
+    """ConfigError unless strategy is known and n and N are at least 1."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    if num_samples < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
+
+
 def iter_trajectory_blocks(model: LdsModel, strategy: str, n: int, num_samples: int, seed):
     """Yield the trajectory array in (rows, N, p) blocks, bounding memory.
 
@@ -207,12 +219,7 @@ def iter_trajectory_blocks(model: LdsModel, strategy: str, n: int, num_samples: 
     value takes the same operations as in its segment's own window.
     Concatenating the blocks gives ``simulate(...).data``.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if num_samples < 1:
-        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
+    check_sampling(strategy, n, num_samples)
     p = model.p
     big_n = int(num_samples)
     rng = rng_from(seed)
@@ -310,8 +317,8 @@ def load_trajectories(directory) -> tuple[TrajectorySet, dict]:
         seed = manifest.get("seed")
         traj = TrajectorySet(
             strategy=manifest["strategy"],
-            n=int(manifest["n"]),
-            num_samples=int(manifest["N"]),
+            n=as_int("manifest n", manifest["n"]),
+            num_samples=as_int("manifest N", manifest["N"]),
             data=data,
             seed=tuple(seed) if isinstance(seed, list) else seed,
         )

@@ -22,6 +22,7 @@ from spectradag.models import (
     _fit_decay,
     autocorr,
     build_model,
+    dft_covariance,
     exact_psdm,
     expected_psdm_finite_n,
     model_from_json,
@@ -302,6 +303,40 @@ class TestExpectedPsdmFiniteN:
         omega = 2 * np.pi * 17 / 64
         small = expected_psdm_finite_n(model, omega, 8)
         assert spectral_norm(small - exact_psdm(model, omega)) > 1e-4
+
+
+class TestDftCovariance:
+    @pytest.mark.parametrize(
+        "noise, num_samples, omega",
+        [(AR1, 4, 0.3), (IID, 8, np.pi / 8), (AR1, 16, 2 * np.pi * 3 / 16), (AR1, 1, 0.3)],
+        ids=["ar1-4", "iid-8", "ar1-16-grid", "ar1-1"],
+    )
+    def test_monte_carlo_oracle(self, noise, num_samples, omega):
+        # Cov([Re X; Im X]) of the DFT X of naively simulated windows
+        model = build_model(random_dag(3, 2, seed=7), noise, seed=7)
+        n_traj = 20000
+        data = naive_trajectories(model, n_traj, num_samples, np.random.default_rng(99))
+        phase = np.exp(-1j * omega * np.arange(num_samples)) / np.sqrt(num_samples)
+        xw = np.einsum("ntp,t->np", data, phase)
+        z = np.concatenate([xw.real, xw.imag], axis=1)
+        per = z[:, :, None] * z[:, None, :]
+        se = per.std(axis=0, ddof=1) / np.sqrt(n_traj)
+        want = dft_covariance(model, omega, num_samples)
+        assert np.all(np.abs(per.mean(axis=0) - want) <= 5 * se + 1e-12 * np.max(want))
+
+    @pytest.mark.parametrize("noise", [IID, AR1], ids=["iid", "ar1"])
+    def test_blocks_sum_to_expected_psdm(self, noise):
+        # E[X X^*] = Cov(Re X) + Cov(Im X) + i (Cov(Im X, Re X) - Cov(Re X, Im X))
+        for p in (3, 10, 20):
+            model = build_model(random_dag(p, 2, seed=p), noise, seed=p)
+            for num_samples, omega in [(1, 0.4), (64, 2 * np.pi * 17 / 64), (32, np.pi)]:
+                cov = dft_covariance(model, omega, num_samples)
+                assert np.array_equal(cov, cov.T)
+                assert np.min(np.linalg.eigvalsh(cov)) >= -1e-14 * np.max(cov)
+                re_im = cov[:p, p:]
+                got = cov[:p, :p] + cov[p:, p:] + 1j * (re_im.T - re_im)
+                want = expected_psdm_finite_n(model, omega, num_samples)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestModelJson:

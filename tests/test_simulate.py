@@ -346,6 +346,17 @@ class TestTrajectoryIo:
         with pytest.raises(ConfigError, match="complex"):
             load_trajectories(tmp_path)
 
+    def test_non_integer_sizes_rejected(self, tmp_path):
+        # int() would read 3.9 and 4.5 as 3 and 4, which match a (3, 4, p) array
+        model = build_model(edgeless(2), IID, seed=0)
+        save_trajectories(simulate(model, "restart_record", n=3, num_samples=4, seed=72), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(n=3.9, N=4.5)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="integer"):
+            load_trajectories(tmp_path)
+
 
 class TestTrajectorySetValidation:
     def test_dimension_mismatch(self):
