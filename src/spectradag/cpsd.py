@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .graphs import structural_queries
-from .linalg import hermitian_solve, require_hermitian
+from .linalg import hermitian_factor, require_hermitian
 from .models import LdsModel, dft_covariance, exact_psdm
 from .seeding import rng_from
 from .simulate import TrajectorySet, check_sampling, iter_trajectory_blocks
@@ -181,11 +181,12 @@ def _finalize_f(raw, node, cond, omega, ridged, scale) -> CpsdValue:
 def cpsd_fs(psdm, nodes, cond, omega: float) -> list[CpsdValue]:
     """Conditional PSD of each of ``nodes`` given one shared cond.
 
-    psdm may be a PsdmEstimate or a bare Hermitian matrix. `hermitian_solve`
-    factors the conditioning block once, with every node as a right-hand
-    side, so a rank-deficient block gets the ridge rescue (flagged on each
-    result). The realness and sign tolerances scale with trace(psdm)/p, so
-    the results do not depend on the unit of the data.
+    psdm may be a PsdmEstimate or a bare Hermitian matrix. `hermitian_factor`
+    factors the conditioning block once, so a rank-deficient block gets the
+    ridge rescue (flagged on each result), and f = Phi_ii - ||L^-1 Phi_Ci||^2
+    takes one triangular solve for all nodes. The realness and sign
+    tolerances scale with trace(psdm)/p, so the results do not depend on
+    the unit of the data.
     """
     matrix = psdm.matrix if isinstance(psdm, PsdmEstimate) else np.asarray(psdm, dtype=complex)
     p = matrix.shape[0]
@@ -200,13 +201,16 @@ def cpsd_fs(psdm, nodes, cond, omega: float) -> list[CpsdValue]:
             raise ConfigError(f"node {i} may not appear in its own conditioning set")
     scale = np.trace(matrix).real / p
     idx = sorted(cond)
-    a, b = matrix[np.ix_(idx, idx)], matrix[np.ix_(idx, nodes)]
-    # an empty cond leaves nothing to solve: every vdot is 0 and f is Phi_ii
-    sol, ridged = hermitian_solve(a, b, with_flag=True) if idx else (b, False)
-    # columns solve independently; vdots of contiguous copies keep one-node bits
+    quad, ridged = np.zeros(len(nodes)), False  # an empty cond leaves f = Phi_ii
+    if idx:
+        chol, ridged = hermitian_factor(matrix[np.ix_(idx, idx)])
+        w = np.linalg.solve(chol, matrix[np.ix_(idx, nodes)])
+        # columns solve independently, and a running sum adds each in order
+        # however many there are (sum() goes pairwise on a lone column)
+        quad = (w.real**2 + w.imag**2).cumsum(axis=0)[-1]
     return [
-        _finalize_f(matrix[i, i] - np.vdot(x, y), i, cond, omega, ridged, scale)
-        for i, x, y in zip(nodes, b.T.copy(), sol.T.copy())
+        _finalize_f(matrix[i, i] - d, i, cond, omega, ridged, scale)
+        for i, d in zip(nodes, quad.tolist())
     ]
 
 

@@ -1,8 +1,9 @@
 """Complex dense linear algebra underlying the estimators.
 
 Everything here is a thin, contract-carrying wrapper over numpy primitives:
-Hermitian positive-definite solves with a ridge rescue for rank-deficient
-sample matrices and the spectral norm. Stationary covariances need no
+the Cholesky factor of a Hermitian positive-definite matrix, with a ridge
+rescue for rank-deficient sample matrices, which every conditional PSD
+reads off, and the spectral norm. Stationary covariances need no
 solver here: `models` sums them in closed form over the powers of a
 nilpotent B.
 All complex arithmetic is double precision.
@@ -18,7 +19,7 @@ from .errors import NumericalError
 # to 1 + max |entry|.
 HERMITIAN_TOL = 1e-10
 
-# Pivot threshold (relative to trace/dim) below which a Hermitian solve is
+# Pivot threshold (relative to trace/dim) below which a Hermitian factor is
 # treated as numerically singular, and the ridge added in that case.
 SINGULAR_PIVOT_REL = 1e-12
 RIDGE_REL = 1e-10
@@ -47,20 +48,15 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def hermitian_solve(a, b, *, with_flag: bool = False):
-    """Solve ``A y = b`` for Hermitian positive-definite A via Cholesky.
+def hermitian_factor(a):
+    """Lower Cholesky factor L of Hermitian positive-definite A; ``(L, ridged)``.
 
-    If the smallest Cholesky pivot falls below ``1e-12 * trace(A)/dim`` the
-    matrix is treated as numerically singular and the solve is retried once
-    with ridge jitter ``lambda = 1e-10 * trace(A)/dim`` added to the
-    diagonal; the returned flag records that the rescue engaged.
-
-    Parameters
-    ----------
-    a : (d, d) array_like, Hermitian
-    b : (d,) or (d, m) array_like
-    with_flag : bool
-        When true, return ``(y, ridge_applied)`` instead of just ``y``.
+    If the smallest pivot falls below ``1e-12 * trace(A)/dim`` the matrix
+    is treated as numerically singular and factored once more with ridge
+    jitter ``lambda = 1e-10 * trace(A)/dim`` added to the diagonal; the
+    returned flag records that the rescue engaged. Every Schur complement
+    in the package reads off this factor: with ``w = L^{-1} b``,
+    ``b^H A^{-1} b = ||w||^2``.
 
     Raises
     ------
@@ -68,37 +64,23 @@ def hermitian_solve(a, b, *, with_flag: bool = False):
         If A fails the Hermitian invariant (a NaN or inf entry fails it), or
         remains singular even with the ridge applied.
     """
-    a = require_hermitian(a, "solve input")
-    b = np.asarray(b, dtype=complex)
+    a = require_hermitian(a, "factor input")
     dim = a.shape[0]
     # Symmetrize so the Cholesky sees an exactly Hermitian matrix.
     a = 0.5 * (a + a.conj().T)
-    scale = np.real(np.trace(a)) / dim if dim else 0.0
-    ridged = False
-
-    def try_cholesky(m):
+    scale = max(np.real(np.trace(a)) / dim, 0.0) if dim else 0.0
+    ridge = RIDGE_REL * scale or RIDGE_REL
+    for ridged in (False, True):
         try:
-            c = np.linalg.cholesky(m)
+            chol = np.linalg.cholesky(a + ridge * np.eye(dim) if ridged else a)
         except np.linalg.LinAlgError:
-            return None
-        if np.min(np.real(np.diagonal(c))) ** 2 < SINGULAR_PIVOT_REL * max(scale, 0.0):
-            return None
-        return c
-
-    chol = try_cholesky(a)
-    if chol is None:
-        ridged = True
-        ridge = RIDGE_REL * max(scale, 0.0)
-        if ridge <= 0.0:
-            ridge = RIDGE_REL
-        chol = try_cholesky(a + ridge * np.eye(dim))
-        if chol is None:
-            raise NumericalError(
-                f"Hermitian solve failed: matrix singular beyond ridge rescue "
-                f"(dim={dim}, trace/dim={scale:.3e})"
-            )
-    y = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, b))
-    return (y, ridged) if with_flag else y
+            continue
+        if np.min(np.real(np.diagonal(chol))) ** 2 >= SINGULAR_PIVOT_REL * scale:
+            return chol, ridged
+    raise NumericalError(
+        f"Hermitian factor failed: matrix singular beyond ridge rescue "
+        f"(dim={dim}, trace/dim={scale:.3e})"
+    )
 
 
 def spectral_norm(a):

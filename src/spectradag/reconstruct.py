@@ -16,9 +16,10 @@ The ordering evaluates f through `cpsd_fs`, so its values and exact-float
 ties are the bits an external `cpsd_fs`/`cpsd_f` audit computes. Ties in
 the argmin are broken by (f value, node id, lexicographic C), making
 results reproducible across runs. The parent scan reads f given each
-prefix, and given each prefix minus one candidate, off one inverse of Phi
-over the prefix plus the node. Its f values and drops match `cpsd_f` up
-to rounding, and a ridge rescue there is decided on that larger block.
+prefix, and given each prefix minus one candidate, off one Cholesky factor
+of Phi in the recovered order and its inverse. Its f values and drops
+match `cpsd_f` up to rounding, and a ridge rescue there is decided once, on
+the whole ordered matrix.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import numpy as np
 
 from .cpsd import PsdmEstimate, cpsd_fs
 from .cpsd import cpsd_f  # noqa: F401  (bench/tracing.py patches reconstruct.cpsd_f)
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .graphs import Dag
-from .linalg import hermitian_solve, require_hermitian
+from .linalg import hermitian_factor, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,13 @@ class ReconstructionParams:
     omega: float
 
     def __post_init__(self):
+        object.__setattr__(self, "q", as_int("q", self.q))
         if self.q < 0:
             raise ConfigError(f"q must be >= 0, got {self.q}")
         if not self.gamma > 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if not np.isfinite(self.omega):
+            raise ConfigError(f"omega must be finite, got {self.omega}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,26 +117,25 @@ def _ordering_scan(matrix, params):
 
 
 def _parent_scan(matrix, order, params):
+    # L is the Cholesky factor of Phi[order, order] and W = L^-1; the leading
+    # blocks of W invert those of L. So f(order[k] | prefix) = |L_kk|^2, and
+    # without order[j] it is |L_kk|^2 / (1 - |W_kj|^2 / S_kj) = |L_kk|^2 *
+    # S_kj / S_(k-1)j, where S holds the running sums of |W|^2 down each column.
+    chol, _ = hermitian_factor(matrix[np.ix_(order, order)])
+    col_sums = np.cumsum(np.abs(np.tril(np.linalg.solve(chol, np.eye(len(order))))) ** 2, axis=0)
+    pivots = chol.diagonal().real ** 2
     edges = set()
     fvals: list[tuple[int, frozenset[int], float]] = []
     drops: list[tuple[int, int, float]] = []
-    for pos, node in enumerate(order):
+    for pos, node in enumerate(order[1:], start=1):
         cset = frozenset(order[:pos])
-        if not cset:
-            continue
-        # inv, the inverse of Phi over prefix + [node], gives f(node|S) =
-        # 1/inv_ii, and f(node|S\{j}) = 1/(inv_ii - |inv_ij|^2/inv_jj)
-        idx = sorted(cset) + [node]
-        inv = hermitian_solve(matrix[np.ix_(idx, idx)], np.eye(len(idx)))
-        inv_diag = inv.diagonal().real
-        inv_ii = inv_diag[-1]
-        f_full = float(1.0 / inv_ii)
-        f_minus_all = 1.0 / (inv_ii - np.abs(inv[:-1, -1]) ** 2 / inv_diag[:-1])
+        f_full = float(pivots[pos])
+        f_minus_all = pivots[pos] * col_sums[pos, :pos] / col_sums[pos - 1, :pos]
         fvals.append((node, cset, f_full))
         cands = []
-        for j, f_minus in zip(idx[:-1], f_minus_all.tolist()):
-            reduced = cset - {j}
-            fvals.append((node, reduced, f_minus))
+        for k in sorted(range(pos), key=order.__getitem__):  # candidates by node id
+            j, f_minus = order[k], float(f_minus_all[k])
+            fvals.append((node, cset - {j}, f_minus))
             d = abs(f_full - f_minus)
             drops.append((node, j, d))
             if d >= params.gamma:

@@ -199,12 +199,12 @@ def _noise(noise: NoiseSpec, rng, rows: int, length: int, p: int, zi=None, out=N
 
 
 def check_sampling(strategy: str, n: int, num_samples: int) -> None:
-    """ConfigError unless strategy is known and n and N are at least 1."""
+    """ConfigError unless strategy is known and n and N are integers >= 1."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if n < 1:
+    if as_int("n", n) < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    if num_samples < 1:
+    if as_int("num_samples", num_samples) < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
 
 

@@ -195,6 +195,19 @@ class TestCpsdFs:
                     nodes = [v for v in range(p) if v not in cond]
                     self.assert_matches_single(phi, nodes, cond, w)
 
+    def test_large_conditioning_sets(self):
+        # from 8 rows up numpy sums a lone column pairwise, not in order
+        for k in range(4):
+            model = build_model(random_dag(14, 3, seed=1150 + k), IID if k % 2 else AR1, seed=1250 + k)
+            w = float(GRID8[1 + k])
+            phi = exact_psdm(model, w)
+            est = sample_psdm(model, "restart_record", 400, 16, w, seed=k)
+            for size in range(8, 14):
+                cond = sorted(np.random.default_rng(size + 20 * k).choice(14, size, replace=False).tolist())
+                nodes = [v for v in range(14) if v not in cond]
+                self.assert_matches_single(phi, nodes, cond, w)
+                self.assert_matches_single(est, nodes, cond, w)
+
     def test_sample_psdms(self):
         for k in range(6):
             model = build_model(random_dag(7, 2, seed=1300 + k), AR1, seed=1400 + k)

@@ -1,4 +1,4 @@
-"""Numeric core: the estimator's single-frequency DFT, Hermitian solves,
+"""Numeric core: the estimator's single-frequency DFT, the Hermitian factor,
 spectral norm.
 
 Each routine is checked against an independently coded oracle (naive
@@ -15,7 +15,7 @@ from spectradag.cpsd import _dft_block
 from spectradag.errors import NumericalError
 from spectradag.linalg import (
     hermitian_residual,
-    hermitian_solve,
+    hermitian_factor,
     spectral_norm,
 )
 
@@ -72,59 +72,68 @@ class TestDftAt:
 
 
 class TestHermitianSolve:
+    """`hermitian_factor`, the one factorisation behind every Hermitian solve."""
+
+    @staticmethod
+    def assert_factors(a, rel):
+        chol, ridged = hermitian_factor(a)
+        assert not ridged
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.all(chol.diagonal().real > 0) and np.all(chol.diagonal().imag == 0)
+        assert np.linalg.norm(chol @ chol.conj().T - a) <= rel * np.linalg.norm(a)
+        return chol
+
     def test_identity(self):
-        b = np.array([1 + 2j, -0.5, 3j])
-        np.testing.assert_allclose(hermitian_solve(np.eye(3), b), b, rtol=1e-14)
+        np.testing.assert_array_equal(self.assert_factors(np.eye(3), 0.0), np.eye(3))
 
     def test_scalar_matrix(self):
-        b = np.ones(3)
-        np.testing.assert_allclose(hermitian_solve(2.0 * np.eye(3), b), 0.5 * b, rtol=1e-14)
+        chol = self.assert_factors(2.0 * np.eye(3), 1e-15)
+        np.testing.assert_allclose(chol, np.sqrt(2.0) * np.eye(3), rtol=1e-15)
 
     def test_residual_oracle_random_pd(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            a = random_hermitian_pd(rng, 5)
-            b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            y = hermitian_solve(a, b)
-            residual = np.linalg.norm(a @ y - b)
-            assert residual <= 1e-9 * np.linalg.norm(b)
+            self.assert_factors(random_hermitian_pd(rng, 5), 1e-13)
 
     def test_solve_then_multiply_is_identity(self):
+        # solving through L then L^H and multiplying by A gives b back, and
+        # b^H A^{-1} b = ||L^{-1} b||^2, the form every Schur complement reads
         rng = np.random.default_rng(12)
         for dim in (1, 2, 4, 8):
             a = random_hermitian_pd(rng, dim)
             b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            back = a @ hermitian_solve(a, b)
-            assert np.linalg.norm(back - b) <= 1e-8 * np.linalg.norm(b)
+            chol = self.assert_factors(a, 1e-13)
+            w = np.linalg.solve(chol, b)
+            y = np.linalg.solve(chol.conj().T, w)
+            assert np.linalg.norm(a @ y - b) <= 1e-8 * np.linalg.norm(b)
+            assert np.vdot(w, w).real == pytest.approx(np.vdot(b, y).real, rel=1e-12)
 
     def test_non_hermitian_rejected(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NumericalError):
-            hermitian_solve(a, np.ones(2))
+            hermitian_factor(a)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_non_finite_input_rejected(self, bad, symmetric):
         # a NaN defect compares False against any tolerance, and the Cholesky
-        # of a NaN matrix does not raise, so this once returned an all-NaN y
+        # of a NaN matrix does not raise, so this once returned an all-NaN result
         a = np.array([[1.0, bad], [bad if symmetric else 0.0, 2.0]])
         with pytest.raises(NumericalError):
-            hermitian_solve(a, np.eye(2))
+            hermitian_factor(a)
 
     def test_singular_input_ridge_rescue(self):
         # rank-1 PSD matrix: pivot collapses, the ridge path must engage
         v = np.array([1.0, 1.0])
         a = np.outer(v, v)
-        y, ridged = hermitian_solve(a, v.astype(complex), with_flag=True)
+        chol, ridged = hermitian_factor(a)
         assert ridged
-        # ridge solution of a consistent system stays close to a true solution
-        assert np.linalg.norm(a @ y - v) <= 1e-5
+        # the factor is that of a plus the ridge 1e-10 * trace(a)/dim
+        np.testing.assert_allclose(chol @ chol.conj().T, a + 1e-10 * np.eye(2), rtol=0, atol=1e-15)
 
     def test_flag_false_on_well_conditioned(self):
         rng = np.random.default_rng(13)
-        a = random_hermitian_pd(rng, 4)
-        b = rng.standard_normal(4)
-        _, ridged = hermitian_solve(a, b, with_flag=True)
+        _, ridged = hermitian_factor(random_hermitian_pd(rng, 4))
         assert not ridged
 
 

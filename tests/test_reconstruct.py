@@ -31,6 +31,7 @@ from spectradag.graphs import (
     max_in_degree,
     random_dag,
 )
+from spectradag.linalg import hermitian_factor
 from spectradag.models import NoiseSpec, build_model, exact_psdm
 from spectradag.reconstruct import (
     ReconstructionParams,
@@ -100,6 +101,19 @@ class TestParams:
     def test_rejects_bad_q(self):
         with pytest.raises(ConfigError):
             ReconstructionParams(q=-1, gamma=0.1, omega=0.5)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, "2", None])
+    def test_rejects_non_integer_q(self, q):
+        with pytest.raises(ConfigError):
+            ReconstructionParams(q=q, gamma=0.1, omega=0.5)
+
+    def test_numpy_integer_q_accepted(self):
+        assert ReconstructionParams(q=np.int64(2), gamma=0.1, omega=0.5).q == 2
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_omega(self, omega):
+        with pytest.raises(ConfigError):
+            ReconstructionParams(q=1, gamma=0.1, omega=omega)
 
     def test_q_exceeding_dimension_rejected_at_use(self):
         params = ReconstructionParams(q=3, gamma=0.1, omega=0.5)
@@ -216,7 +230,8 @@ class TestParents:
 
 
 class TestParentScanReference:
-    """The inverse-based parent scan against `parent_scan_oracle`.
+    """The parent scan, read off one Cholesky factor of Phi in the recovered
+    order, against `parent_scan_oracle`.
 
     Drops agree to a relative 1e-9 of trace(Phi)/p and the edge sets are
     equal, on population PSDMs and on sample PSDMs at n=500 and n=8000.
@@ -248,9 +263,9 @@ class TestParentScanReference:
 
     def test_rank_deficient_sample_psdm(self):
         # n < p trajectories leave Phi singular, so the ridge rescue engages;
-        # it is decided on prefix + [node] here and on the prefix alone in the
-        # oracle, so the drops differ by more than rounding (up to ~3.2e-8 of
-        # trace(Phi)/p on these cases) while the graphs stay equal
+        # it is decided once on the whole ordered Phi here and on each prefix
+        # alone in the oracle, so the drops differ by more than rounding (up
+        # to ~3.1e-8 of trace(Phi)/p on these cases) while the graphs stay equal
         for n in range(4, 10):
             model = build_model(random_dag(10, 2, seed=4400 + n), IID, seed=4500 + n)
             w = float(GRID8[3])
@@ -280,6 +295,24 @@ class TestParentScanReference:
         monkeypatch.setattr(rec, "cpsd_f", forbidden)
         monkeypatch.setattr(rec, "cpsd_fs", forbidden)
         assert graph_equal(identify_parents(phi, order, optsets, params), model.dag)
+
+    def test_parent_scan_factors_once(self, monkeypatch):
+        import spectradag.reconstruct as rec
+
+        model = build_model(random_dag(10, 2, seed=4800), AR1, seed=4800)
+        w = float(GRID8[3])
+        phi = exact_psdm(model, w)
+        params = ReconstructionParams(q=2, gamma=default_gamma(model, [w]), omega=w)
+        order, optsets = order_nodes(phi, params)
+        calls = []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return hermitian_factor(a)
+
+        monkeypatch.setattr(rec, "hermitian_factor", counting)
+        assert graph_equal(identify_parents(phi, order, optsets, params), model.dag)
+        assert calls == [(10, 10)]
 
 
 class TestReconstruct:

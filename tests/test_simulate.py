@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import spectradag
+from spectradag.cpsd import sample_psdm
 from spectradag.errors import ConfigError
 from spectradag.graphs import Dag, random_dag
 from spectradag.models import NoiseSpec, build_model
@@ -59,6 +60,16 @@ class TestShapes:
             simulate(model, "continuous", 0, 4, seed=0)
         with pytest.raises(ConfigError):
             simulate(model, "continuous", 1, 0, seed=0)
+
+    @pytest.mark.parametrize("strategy", ["restart_record", "continuous"])
+    @pytest.mark.parametrize("n, big_n", [(4, 16.5), (2.5, 16), (4.0, 16), (4, 16.0)])
+    def test_non_integer_sizes_rejected(self, strategy, n, big_n):
+        # int() would truncate 16.5 to 16; a float n fails deep in the sampler
+        model = build_model(random_dag(3, 1, seed=1), IID, seed=1)
+        with pytest.raises(ConfigError, match="integer"):
+            simulate(model, strategy, n, big_n, seed=1)
+        with pytest.raises(ConfigError, match="integer"):
+            sample_psdm(model, strategy, n, big_n, 0.3, seed=1)
 
     def test_sampling_imports_no_scipy(self):
         # the AR(1) filter is numpy's own: sampling and estimation load no scipy
