@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericalError
 
 # Tolerance scale for declaring a matrix Hermitian: max |A - A^H| relative
-# to 1 + max |entry|.
+# to max |entry|, so the check does not depend on the unit of the data.
 HERMITIAN_TOL = 1e-10
 
 # Pivot threshold (relative to trace/dim) below which a Hermitian factor is
@@ -39,7 +39,7 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     amax = np.max(np.abs(a)) if a.size else 0.0
     # a NaN or inf entry fails without forming a - a^H, where inf - inf warns
     resid = hermitian_residual(a) if amax < np.inf else np.nan
-    tol = HERMITIAN_TOL * (1.0 + amax)
+    tol = HERMITIAN_TOL * amax
     if not resid <= tol:
         raise NumericalError(
             f"{what} is not a finite Hermitian matrix: "

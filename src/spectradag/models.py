@@ -12,6 +12,9 @@ finite-sample spectrogram estimator, which differs from the limit by a
 finite-length bias. B is nilpotent on a DAG, so x(t) is a finite moving
 average of the noise and R(k) is a finite sum over the nonzero powers of
 B, exact at any noise scale: no iteration and no tolerance.
+
+The model-class constants are a pure function of B and the noise, so
+`LdsModel.constants` computes them on each read and nothing stores them.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from .graphs import Dag
 from .linalg import spectral_norm
 from .seeding import rng_from
 
-# Frequencies used for the model's eigenvalue envelope (m_bound) when the
-# caller does not supply a grid: 64 equally spaced points on [0, 2*pi).
+# Frequencies of the eigenvalue envelope m_bound: 64 equally spaced on [0, 2*pi).
 DEFAULT_MODEL_OMEGA_GRID = 2.0 * np.pi * np.arange(64) / 64.0
 
 # Lags used to fit the autocorrelation decay envelope (c_decay, rho).
@@ -72,11 +74,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Computable model-class constants.
+    """Model-class constants, as `LdsModel.constants` computes them.
 
     beta: smallest edge-weight magnitude (0 for an edgeless model).
     m_bound: envelope M with PSDM eigenvalues in [1/M, M] over the grid.
-    c_decay, rho: fitted autocorrelation envelope ||R(k)|| <= c_decay * rho^-k.
+    c_decay, rho: envelope ||R(k)|| <= c_decay * rho^-k fitted to lag FIT_LAGS.
     """
 
     beta: float
@@ -96,7 +98,6 @@ class LdsModel:
     dag: Dag
     b: np.ndarray
     noise: NoiseSpec
-    constants: ModelConstants
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -113,6 +114,16 @@ class LdsModel:
     @property
     def p(self) -> int:
         return self.dag.p
+
+    @property
+    def constants(self) -> ModelConstants:
+        """The model-class constants, worked out from b and noise on each read."""
+        beta = min((abs(self.b[i, j]) for j, i in self.dag.edges), default=0.0)
+        eigs = np.linalg.eigvalsh(_psdm_from_b(self.b, self.noise, DEFAULT_MODEL_OMEGA_GRID))
+        # max(lambda_max, 1/lambda_min) >= 1 on any nonempty grid
+        m_bound = float(np.max(np.concatenate([eigs[:, -1], 1.0 / eigs[:, 0]])))
+        c_decay, rho = _fit_decay(spectral_norm(_autocorr_from_b(self.b, self.noise, FIT_LAGS)))
+        return ModelConstants(beta=beta, m_bound=m_bound, c_decay=c_decay, rho=rho)
 
 
 def _psdm_from_b(b: np.ndarray, noise: NoiseSpec, omegas: np.ndarray) -> np.ndarray:
@@ -219,16 +230,13 @@ def dft_covariance(model: LdsModel, omega: float, num_samples: int) -> np.ndarra
     )
 
 
-def build_model(dag: Dag, noise: NoiseSpec, seed, omega_grid=None) -> LdsModel:
-    """Draw edge weights and compute the model-class constants.
+def build_model(dag: Dag, noise: NoiseSpec, seed) -> LdsModel:
+    """Draw the edge weights of a model over ``dag``.
 
     Each edge weight is a Rademacher sign times Uniform(0.5, 1); the whole
     matrix is then rescaled by 1/(1.002 * ||B||) so the system is stable
-    with a thin margin (skipped for an edgeless graph). The constants
-    record the post-scaling weight floor beta, the PSDM eigenvalue
-    envelope m_bound over `omega_grid` (64 uniform frequencies by
-    default), and an autocorrelation decay envelope (c_decay, rho) fitted
-    to lags 0..FIT_LAGS, which the test suite asserts against all of them.
+    with a thin margin (skipped for an edgeless graph). The model-class
+    constants follow from the result: see `LdsModel.constants`.
     """
     rng = rng_from(seed)
     p = dag.p
@@ -239,19 +247,8 @@ def build_model(dag: Dag, noise: NoiseSpec, seed, omega_grid=None) -> LdsModel:
         mags = rng.uniform(0.5, 1.0, size=len(edge_list))
         for (j, i), s, m in zip(edge_list, signs, mags):
             b[i, j] = s * m
-        norm = spectral_norm(b)
-        b /= 1.002 * norm
-        beta = min(abs(b[i, j]) for j, i in edge_list)
-    else:
-        beta = 0.0
-
-    grid = DEFAULT_MODEL_OMEGA_GRID if omega_grid is None else np.asarray(omega_grid, float)
-    eigs = np.linalg.eigvalsh(_psdm_from_b(b, noise, grid))
-    m_bound = float(np.max(np.concatenate([eigs[:, -1], 1.0 / eigs[:, 0]]), initial=1.0))
-
-    c_decay, rho = _fit_decay(spectral_norm(_autocorr_from_b(b, noise, FIT_LAGS)))
-    constants = ModelConstants(beta=beta, m_bound=m_bound, c_decay=c_decay, rho=rho)
-    return LdsModel(dag=dag, b=b, noise=noise, constants=constants)
+        b /= 1.002 * spectral_norm(b)
+    return LdsModel(dag=dag, b=b, noise=noise)
 
 
 def _fit_decay(norms: np.ndarray) -> tuple[float, float]:
@@ -285,7 +282,8 @@ def _fit_decay(norms: np.ndarray) -> tuple[float, float]:
 
 
 def model_to_json(model: LdsModel) -> str:
-    """Canonical JSON serialization (sorted keys, 2-space indent)."""
+    """Canonical JSON serialization (sorted keys, 2-space indent), constants included."""
+    constants = model.constants
     doc = {
         "p": model.dag.p,
         "edges": [list(e) for e in sorted(model.dag.edges)],
@@ -297,10 +295,10 @@ def model_to_json(model: LdsModel) -> str:
             "alpha": model.noise.alpha,
         },
         "constants": {
-            "beta": model.constants.beta,
-            "m_bound": model.constants.m_bound,
-            "c_decay": model.constants.c_decay,
-            "rho": model.constants.rho,
+            "beta": constants.beta,
+            "m_bound": constants.m_bound,
+            "c_decay": constants.c_decay,
+            "rho": constants.rho,
         },
     }
     return json.dumps(doc, sort_keys=True, indent=2)
@@ -309,8 +307,8 @@ def model_to_json(model: LdsModel) -> str:
 def model_from_json(text: str) -> LdsModel:
     """Parse `model_to_json` output; all Dag/LdsModel invariants re-checked.
 
-    p, edge endpoints and order entries must be JSON integers: 3.9 is a
-    ConfigError, not node 3.
+    The stored constants are not read back. p, edge endpoints and order
+    entries must be JSON integers: 3.9 is a ConfigError, not node 3.
     """
     try:
         doc = json.loads(text)
@@ -324,16 +322,10 @@ def model_from_json(text: str) -> LdsModel:
             sigma_w=float(doc["noise"]["sigma_w"]),
             alpha=float(doc["noise"]["alpha"]),
         )
-        constants = ModelConstants(
-            beta=float(doc["constants"]["beta"]),
-            m_bound=float(doc["constants"]["m_bound"]),
-            c_decay=float(doc["constants"]["c_decay"]),
-            rho=float(doc["constants"]["rho"]),
-        )
         b = np.asarray(doc["b"], dtype=float)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"malformed model JSON: {exc}") from exc
-    return LdsModel(dag=dag, b=b, noise=noise, constants=constants)
+    return LdsModel(dag=dag, b=b, noise=noise)
 
 
 def model_hash(model: LdsModel) -> str:

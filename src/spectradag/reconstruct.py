@@ -57,20 +57,19 @@ class ReconstructionParams:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    order: tuple[int, ...]
     opt_sets: tuple[frozenset[int], ...]
     graph: Dag
     f_values: tuple[tuple[int, frozenset[int], float], ...]
     drops: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        p = self.graph.p
-        if sorted(self.order) != list(range(p)):
-            raise ConfigError("order is not a permutation of the graph's nodes")
-        if tuple(self.graph.order) != tuple(self.order):
-            raise ConfigError("graph order disagrees with the recovered order")
-        if len(self.opt_sets) != p:
+        if len(self.opt_sets) != self.graph.p:
             raise ConfigError("one minimizing set per ordered position required")
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The recovered order, which the graph carries."""
+        return self.graph.order
 
 
 def _matrix_of(psdm, params: ReconstructionParams) -> np.ndarray:
@@ -191,7 +190,6 @@ def reconstruct(psdm, params: ReconstructionParams):
     edges, fvals, drops = _parent_scan(matrix, order, params)
     graph = Dag(p=matrix.shape[0], edges=edges, order=order)
     return ReconstructionResult(
-        order=order,
         opt_sets=optsets,
         graph=graph,
         f_values=trail + fvals,

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,12 +546,18 @@ def test_bounds_missing_inputs_exit_code_1():
 
 
 def test_module_entry_point_subprocess():
+    # the child does not see pytest's pythonpath, so pass src the way test_demos does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [
             sys.executable, "-m", "spectradag.cli", "bounds", "--kind",
             "trajectory_length", "--c-decay", "1.0", "--rho", "2.0",
             "--epsilon1", "0.1",
         ],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -16,6 +16,7 @@ from spectradag.errors import NumericalError
 from spectradag.linalg import (
     hermitian_residual,
     hermitian_factor,
+    require_hermitian,
     spectral_norm,
 )
 
@@ -194,7 +195,19 @@ class TestHermitianResidual:
         assert hermitian_residual(a) == 0.0
 
     def test_scaled_tolerance(self):
-        # asymmetry just under the documented tolerance passes the invariant
+        # asymmetry just under the documented tolerance, 1e-10 * max |entry|,
+        # passes the invariant
         a = np.eye(3, dtype=complex)
         a[0, 1] = 5e-11
-        assert hermitian_residual(a) <= 1e-10 * (1.0 + np.max(np.abs(a)))
+        assert hermitian_residual(a) <= 1e-10 * np.max(np.abs(a))
+        assert require_hermitian(a) is not None
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_tolerance_is_unit_free(self, scale):
+        # a defect as large as the entries fails at every scale; an absolute
+        # floor of 1e-10 once let the 1e-12 copy through to the factor
+        a = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+        for check in (require_hermitian, hermitian_factor):
+            with pytest.raises(NumericalError, match="not a finite Hermitian"):
+                check(a)
+        assert require_hermitian(scale * np.array([[1.0, 1e-11], [0.0, 1.0]])) is not None

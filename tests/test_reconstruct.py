@@ -9,6 +9,8 @@ reference for the claim that subsets of size exactly min(|S|, q) suffice.
 """
 
 import json
+from dataclasses import replace
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -397,23 +399,61 @@ class TestReconstruct:
             reconstruct(m, params)
 
     def test_result_validation(self):
-        g = Dag(p=2, edges=frozenset(), order=(0, 1))
-        with pytest.raises(ConfigError):
-            ReconstructionResult(
-                order=(0, 0),
-                opt_sets=(frozenset(), frozenset()),
-                graph=g,
-                f_values=(),
-                drops=(),
-            )
-        with pytest.raises(ConfigError):
-            ReconstructionResult(
-                order=(1, 0),
-                opt_sets=(frozenset(), frozenset()),
-                graph=g,  # graph.order disagrees
-                f_values=(),
-                drops=(),
-            )
+        # the order is the graph's, which Dag checks; one set per position remains
+        g = Dag(p=2, edges=frozenset(), order=(1, 0))
+        result = ReconstructionResult(
+            opt_sets=(frozenset(), frozenset()), graph=g, f_values=(), drops=()
+        )
+        assert result.order == (1, 0)
+        with pytest.raises(ConfigError, match="one minimizing set"):
+            ReconstructionResult(opt_sets=(frozenset(),), graph=g, f_values=(), drops=())
+
+
+# Property cases: restart-record estimates, which carry no exact population
+# ties, of 30 models over p in {6, 10, 14} and both noises.
+W17 = 2 * np.pi * 17 / 64
+PROPERTY_CASES = [
+    (p, kind, seed) for p in (6, 10, 14) for kind in ("iid", "ar1") for seed in range(5)
+]
+
+
+@lru_cache(maxsize=None)
+def property_case(p, kind, seed):
+    """(estimate, params) for one property case, drawn once per session."""
+    noise = IID if kind == "iid" else AR1
+    model = build_model(random_dag(p, 2, seed=(p, seed)), noise, seed=seed)
+    est = sample_psdm(model, "restart_record", 2000, 64, W17, seed=(p, seed))
+    return est, ReconstructionParams(q=2, gamma=default_gamma(model, [W17]), omega=W17)
+
+
+@pytest.mark.parametrize("case", PROPERTY_CASES, ids=lambda c: "p{}-{}-{}".format(*c))
+class TestInvariance:
+    @pytest.mark.parametrize("s", [1e-12, 1e12])
+    def test_unit_of_the_data(self, case, s):
+        est, params = property_case(*case)
+        want = reconstruct(est, params).graph
+        got = reconstruct(
+            replace(est, matrix=s * est.matrix), replace(params, gamma=s * params.gamma)
+        ).graph
+        assert got.order == want.order
+        assert got.edges == want.edges
+
+    def test_relabelling(self, case):
+        est, params = property_case(*case)
+        pi = np.random.default_rng(case[2]).permutation(case[0])
+        inv = np.argsort(pi)  # node v of the relabelled matrix was node inv[v]
+        want = reconstruct(est, params).graph
+        got = reconstruct(replace(est, matrix=est.matrix[np.ix_(inv, inv)]), params).graph
+        assert got.order == tuple(int(pi[v]) for v in want.order)
+        assert got.edges == {(int(pi[j]), int(pi[i])) for j, i in want.edges}
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_non_hermitian_rejected(self, case, s):
+        est, params = property_case(*case)
+        m = s * est.matrix
+        m[0, -1] += 1e-6 * np.max(np.abs(m))
+        with pytest.raises(NumericalError, match="not a finite Hermitian"):
+            reconstruct(m, params)
 
 
 class TestAudit:
