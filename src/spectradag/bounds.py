@@ -11,7 +11,8 @@ Four calculators, pure arithmetic:
 - `psdm_tail_bound`: probability envelope for spectral-norm deviations of
   the PSDM estimate around its finite-length expectation, capped at 1.
 
-`build_report` wraps any of them into a `BoundReport` for serialization.
+`build_report` wraps any of them into a `BoundReport` for serialization,
+and rejects a NaN or infinite input first: JSON has no infinite number.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ INPUT_KEYS = tuple(dict.fromkeys(k for _, keys in _CALCULATORS.values() for k in
 
 
 def build_report(kind: str, inputs: dict) -> BoundReport:
-    """Dispatch to the calculator for `kind`; inputs must match exactly."""
+    """Dispatch to the calculator for `kind`; inputs must match exactly and be finite."""
     if kind not in _CALCULATORS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     fn, keys = _CALCULATORS[kind]
@@ -121,6 +122,8 @@ def build_report(kind: str, inputs: dict) -> BoundReport:
             f"inputs for {kind} must be exactly {keys}; "
             f"missing={missing}, unexpected={extra}"
         )
+    for key, value in inputs.items():
+        _require(math.isfinite(value), f"{key} must be finite, got {value}")
     value = fn(**inputs)
     return BoundReport(kind=kind, inputs=dict(inputs), value=float(value))
 

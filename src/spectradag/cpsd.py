@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, as_int
 from .graphs import structural_queries
 from .linalg import hermitian_factor, require_hermitian
 from .models import LdsModel, dft_covariance, exact_psdm
@@ -65,6 +65,11 @@ class PsdmEstimate:
         m.imag[np.diag_indices_from(m)] = 0.0
         if m.shape[0] and np.min(m.diagonal().real) < 0:
             raise NumericalError("PSDM estimate has a negative diagonal entry")
+        for name in ("n", "num_samples"):
+            value = as_int(name, getattr(self, name))
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "omega", float(self.omega))
 
@@ -104,9 +109,7 @@ def _dft_block(block: np.ndarray, omega: float) -> np.ndarray:
 def _gram_estimate(xw: np.ndarray, omega: float, num_samples: int) -> PsdmEstimate:
     """Average the outer products of the (n, p) DFT rows xw."""
     n = xw.shape[0]
-    return PsdmEstimate(
-        omega=float(omega), matrix=(xw.T @ np.conj(xw)) / n, n=n, num_samples=int(num_samples)
-    )
+    return PsdmEstimate(omega=omega, matrix=(xw.T @ np.conj(xw)) / n, n=n, num_samples=num_samples)
 
 
 def estimate_psdm(traj: TrajectorySet, omega: float) -> PsdmEstimate:
@@ -154,39 +157,16 @@ def sample_psdm(
     return _gram_estimate(xw, omega, num_samples)
 
 
-def _finalize_f(raw, node, cond, omega, ridged, scale) -> CpsdValue:
-    if abs(complex(raw).imag) > IMAG_TOL * scale:
-        raise NumericalError(
-            f"conditional PSD f({node},{sorted(cond)}) is non-real: imag={complex(raw).imag:.3e}"
-        )
-    value = complex(raw).real
-    clamped = False
-    if value < 0.0:
-        if value < -NEG_TOL * scale:
-            raise NumericalError(
-                f"conditional PSD f({node},{sorted(cond)}) = {value:.3e} "
-                f"below -{NEG_TOL} * {scale:.3e}"
-            )
-        value, clamped = 0.0, True
-    return CpsdValue(
-        node=int(node),
-        cond_set=frozenset(int(c) for c in cond),
-        omega=float(omega),
-        value=value,
-        ridge_applied=bool(ridged),
-        clamped=clamped,
-    )
+def cpsd_fs(psdm, nodes, cond):
+    """Conditional PSD of each of ``nodes`` given one shared cond, as
+    ``(f, ridged, clamped)``: an f array aligned with ``nodes``, the ridge
+    flag, and the mask of values clamped to 0.
 
-
-def cpsd_fs(psdm, nodes, cond, omega: float) -> list[CpsdValue]:
-    """Conditional PSD of each of ``nodes`` given one shared cond.
-
-    psdm may be a PsdmEstimate or a bare Hermitian matrix. `hermitian_factor`
-    factors the conditioning block once, so a rank-deficient block gets the
-    ridge rescue (flagged on each result), and f = Phi_ii - ||L^-1 Phi_Ci||^2
-    takes one triangular solve for all nodes. The realness and sign
-    tolerances scale with trace(psdm)/p, so the results do not depend on
-    the unit of the data.
+    psdm may be a PsdmEstimate or a bare Hermitian matrix. One Cholesky
+    factor of the conditioning block (with the ridge rescue if it is rank
+    deficient) and one triangular solve give f = Phi_ii - ||L^-1 Phi_Ci||^2
+    for all nodes; one vectorised test applies the realness and sign
+    tolerances, relative to trace(psdm)/p so no unit of the data matters.
     """
     matrix = psdm.matrix if isinstance(psdm, PsdmEstimate) else np.asarray(psdm, dtype=complex)
     p = matrix.shape[0]
@@ -208,15 +188,32 @@ def cpsd_fs(psdm, nodes, cond, omega: float) -> list[CpsdValue]:
         # columns solve independently, and a running sum adds each in order
         # however many there are (sum() goes pairwise on a lone column)
         quad = (w.real**2 + w.imag**2).cumsum(axis=0)[-1]
-    return [
-        _finalize_f(matrix[i, i] - d, i, cond, omega, ridged, scale)
-        for i, d in zip(nodes, quad.tolist())
-    ]
+    diag = matrix.diagonal()[nodes]
+    f = diag.real - quad
+    bad = (np.abs(diag.imag) > IMAG_TOL * scale) | (f < -NEG_TOL * scale)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericalError(
+            f"conditional PSD f({nodes[k]},{idx}) = {f[k]:.3e}{diag.imag[k]:+.3e}j: imaginary part "
+            f"above {IMAG_TOL} or real part below -{NEG_TOL} times trace/p = {scale:.3e}"
+        )
+    clamped = f < 0.0
+    f[clamped] = 0.0
+    return f, ridged, clamped
 
 
 def cpsd_f(psdm, i: int, cond, omega: float) -> CpsdValue:
-    """Conditional PSD of node i given cond: the one-node case of `cpsd_fs`."""
-    return cpsd_fs(psdm, [i], cond, omega)[0]
+    """The one-node case of `cpsd_fs`, with its flags, as a CpsdValue."""
+    cond = frozenset(int(c) for c in cond)
+    f, ridged, clamped = cpsd_fs(psdm, [i], cond)
+    return CpsdValue(
+        node=int(i),
+        cond_set=cond,
+        omega=float(omega),
+        value=float(f[0]),
+        ridge_applied=ridged,
+        clamped=bool(clamped[0]),
+    )
 
 
 def cpsd_deficit(model: LdsModel, omega_grid) -> float:

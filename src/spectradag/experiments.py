@@ -139,9 +139,9 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.gamma_override is not None and not self.gamma_override > 0:
+        if self.gamma_override is not None and not 0 < self.gamma_override < np.inf:
             raise ConfigError(
-                f"gamma_override must be > 0 when given, got {self.gamma_override}"
+                f"gamma_override must be finite and > 0 when given, got {self.gamma_override}"
             )
 
     @property
@@ -217,8 +217,8 @@ class ExperimentRecord:
 def resolve_gamma(model, omega: float, override: float | None = None) -> float:
     """Cell threshold: the override verbatim, else half the deficit at omega."""
     if override is not None:
-        if not override > 0:
-            raise ConfigError(f"gamma override must be > 0, got {override}")
+        if not 0 < override < np.inf:
+            raise ConfigError(f"gamma override must be finite and > 0, got {override}")
         return float(override)
     return default_gamma(model, [float(omega)])
 

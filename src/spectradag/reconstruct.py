@@ -12,14 +12,14 @@ Two phases, both driven by the conditional PSD f(i, C, omega):
    removing it from the conditioning set, the full ordered prefix, raises
    f by at least gamma.
 
-The ordering evaluates f through `cpsd_fs`, so its values and exact-float
-ties are the bits an external `cpsd_fs`/`cpsd_f` audit computes. Ties in
-the argmin are broken by (f value, node id, lexicographic C), making
-results reproducible across runs. The parent scan reads f given each
-prefix, and given each prefix minus one candidate, off one Cholesky factor
-of Phi in the recovered order and its inverse. Its f values and drops
-match `cpsd_f` up to rounding, and a ridge rescue there is decided once, on
-the whole ordered matrix.
+The ordering reads one `cpsd_fs` f array per conditioning set, so its
+values and exact-float ties are the bits an external `cpsd_fs`/`cpsd_f`
+audit computes. Ties in the argmin are broken by (f value, node id,
+lexicographic C), making results reproducible across runs. The parent
+scan reads f given each prefix, and given each prefix minus one
+candidate, off one Cholesky factor of Phi in the recovered order and its
+inverse. Its f values and drops match `cpsd_f` up to rounding, and a
+ridge rescue there is decided once, on the whole ordered matrix.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class ReconstructionParams:
         object.__setattr__(self, "q", as_int("q", self.q))
         if self.q < 0:
             raise ConfigError(f"q must be >= 0, got {self.q}")
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
         if not np.isfinite(self.omega):
             raise ConfigError(f"omega must be finite, got {self.omega}")
 
@@ -104,9 +104,9 @@ def _ordering_scan(matrix, params):
         # f(j, C) never changes, so only the sets holding the node placed last are new
         fresh = [c for c in combinations(sorted(order), k) if k == len(order) or order[-1] in c]
         for c in fresh:
-            for fv in cpsd_fs(matrix, remaining, c, params.omega):
-                key = (fv.value, fv.node, c)
-                best[fv.node] = min(best.get(fv.node, key), key)
+            for j, f in zip(remaining, cpsd_fs(matrix, remaining, c)[0].tolist()):
+                key = (f, j, c)
+                best[j] = min(best.get(j, key), key)
         v, j, c = min(best.values())
         del best[j]
         order.append(j)

@@ -252,6 +252,25 @@ def test_build_report_dispatches_each_kind():
         assert r.value >= 0
 
 
+VALID_INPUTS = {
+    "recovery_lower": dict(p=10, q=2, beta=0.5, m_bound=2.0, delta=0.1),
+    "recovery_upper": dict(p=10, q=2, m_bound=1.5, epsilon2=0.5, delta=0.1),
+    "trajectory_length": dict(c_decay=1.0, rho=2.0, epsilon1=0.1),
+    "estimation_tail": dict(t=1.0, n=10_000, p=3, m_bound=1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, inputs in VALID_INPUTS.items() for key in inputs]
+)
+def test_build_report_rejects_non_finite_inputs(kind, key, bad):
+    # every kind: an infinite value would serialize as Infinity, which is not JSON
+    assert math.isfinite(build_report(kind, VALID_INPUTS[kind]).value)
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        build_report(kind, {**VALID_INPUTS[kind], key: bad})
+
+
 def test_build_report_rejects_unknown_kind_and_bad_keys():
     with pytest.raises(ConfigError):
         build_report("nonsense", dict(p=10))

@@ -359,6 +359,29 @@ def test_reconstruct_input_validation(tmp_path):
     assert not (tmp_path / "o.txt").exists()
 
 
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_reconstruct_non_finite_gamma_exit_code_1(tmp_path, gamma):
+    model = build_model(random_dag(5, 2, seed=21), NoiseSpec("iid"), seed=21)
+    psdm_path = tmp_path / "pop.csv"
+    save_psdm(PsdmEstimate(OMEGA_3_16, exact_psdm(model, OMEGA_3_16), 1, 16), psdm_path)
+    out = tmp_path / "o.txt"
+    assert run_cli("reconstruct", "--psdm", str(psdm_path), "--q", "1",
+                   "--gamma", gamma, "--out-dag", str(out)) == 1
+    assert not out.exists()
+
+
+def test_reconstruct_psdm_with_bad_sample_counts_exit_code_1(tmp_path):
+    psdm_path = tmp_path / "bad.csv"
+    psdm_path.write_text(
+        "# omega=0.5,n=-4,N=0\nrow,col,re,im\n"
+        "0,0,1.0,0.0\n0,1,0.1,0.0\n1,0,0.1,0.0\n1,1,2.0,0.0\n"
+    )
+    out = tmp_path / "o.txt"
+    assert run_cli("reconstruct", "--psdm", str(psdm_path), "--q", "1",
+                   "--gamma", "0.1", "--out-dag", str(out)) == 1
+    assert not out.exists()
+
+
 def test_reconstruct_numerical_failure_exit_code_2(tmp_path):
     # Hermitian but indefinite: the Schur complement f(1, {0}) = 1 - 4 is
     # properly negative, which no valid PSDM can produce
@@ -534,6 +557,24 @@ def test_bounds_trajectory_length_json(capsys):
     )
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["value"] == 41
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--kind", "recovery_upper", "--p", "10", "--q", "2", "--m-bound", "inf",
+         "--epsilon2", "0.1", "--delta", "0.1"),
+        ("--kind", "recovery_lower", "--p", "10", "--q", "2", "--beta", "inf",
+         "--m-bound", "2.0", "--delta", "0.1"),
+        ("--kind", "trajectory_length", "--c-decay", "nan", "--rho", "2.0",
+         "--epsilon1", "0.1"),
+    ],
+)
+def test_bounds_non_finite_input_exit_code_1(capsys, args):
+    assert run_cli("bounds", *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_bounds_missing_inputs_exit_code_1():

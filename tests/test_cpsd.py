@@ -173,15 +173,15 @@ class TestCpsdFs:
 
     @staticmethod
     def assert_matches_single(m, nodes, cond, w):
-        got = cpsd_fs(m, nodes, cond, w)
-        assert [v.node for v in got] == list(nodes)
-        for node, many in zip(nodes, got):
+        f, ridged, clamped = cpsd_fs(m, nodes, cond)
+        assert f.shape == clamped.shape == (len(nodes),)
+        assert f.dtype == float and clamped.dtype == bool and type(ridged) is bool
+        for k, node in enumerate(nodes):
             one = cpsd_f(m, node, cond, w)
-            assert many.value.hex() == one.value.hex()
-            assert many.ridge_applied == one.ridge_applied
-            assert many.clamped == one.clamped
-            assert many == one
-        return got
+            assert float(f[k]).hex() == one.value.hex()
+            assert ridged == one.ridge_applied
+            assert bool(clamped[k]) == one.clamped
+        return f, ridged, clamped
 
     def test_population_psdms(self):
         for k in range(12):
@@ -222,24 +222,33 @@ class TestCpsdFs:
     def test_ridge_and_clamp_inputs(self):
         model = build_model(random_dag(4, 1, seed=5), IID, seed=5)
         est = estimate_psdm(simulate(model, "restart_record", 1, 32, seed=5), 1.2)
-        got = self.assert_matches_single(est, [0, 3], {1, 2}, 1.2)
-        assert all(v.ridge_applied for v in got)
+        _, ridged, _ = self.assert_matches_single(est, [0, 3], {1, 2}, 1.2)
+        assert ridged
         phi = np.array(
             [[1.0, 1.0, 0.0], [1.0, 1.0 - 1e-10, 0.0], [0.0, 0.0, 1.0]], dtype=complex
         )
-        got = self.assert_matches_single(phi, [1, 2], {0}, 0.0)
-        assert [v.clamped for v in got] == [True, False]
+        f, _, clamped = self.assert_matches_single(phi, [1, 2], {0}, 0.0)
+        assert clamped.tolist() == [True, False]
+        assert f[0] == 0.0
+
+    def test_tolerance_failure_names_its_node(self):
+        phi = np.diag([1.0, 1.0, 1.0 + 1e-3j])
+        with pytest.raises(NumericalError, match=r"f\(2,\[\]\)"):
+            cpsd_fs(phi, [0, 1, 2], set())
+        phi = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.5]], dtype=complex)
+        with pytest.raises(NumericalError, match=r"f\(2,\[0\]\)"):
+            cpsd_fs(phi, [1, 2], {0})
 
     def test_bad_nodes_rejected(self):
         phi = np.eye(3, dtype=complex)
         with pytest.raises(ConfigError):
-            cpsd_fs(phi, [0, 1], {1, 2}, 0.0)
+            cpsd_fs(phi, [0, 1], {1, 2})
         with pytest.raises(ConfigError):
-            cpsd_fs(phi, [0, 3], set(), 0.0)
+            cpsd_fs(phi, [0, 3], set())
         with pytest.raises(ConfigError):
-            cpsd_fs(phi, [0, -1], {2}, 0.0)
+            cpsd_fs(phi, [0, -1], {2})
         with pytest.raises(ConfigError):
-            cpsd_fs(phi, [0, 1], {5}, 0.0)
+            cpsd_fs(phi, [0, 1], {5})
 
 
 class TestPopulationStructure:
@@ -634,6 +643,23 @@ class TestPsdmCsv:
         )
         with pytest.raises(ConfigError, match="non-finite entry"):
             load_psdm(path)
+
+    @pytest.mark.parametrize("counts", ["n=-4,N=0", "n=0,N=4", "n=2,N=0", "n=2,N=-1"])
+    def test_sample_counts_below_one_rejected(self, tmp_path, counts):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"# omega=0.5,{counts}\nrow,col,re,im\n"
+            "0,0,1.0,0.0\n0,1,0.1,0.0\n1,0,0.1,0.0\n1,1,2.0,0.0\n"
+        )
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            load_psdm(path)
+
+    @pytest.mark.parametrize("n, num_samples", [(0, 4), (2, 0), (2.0, 4), (2, 4.5), ("2", 4)])
+    def test_estimate_sample_counts_checked(self, n, num_samples):
+        with pytest.raises(ConfigError):
+            PsdmEstimate(omega=0.5, matrix=np.eye(2, dtype=complex), n=n, num_samples=num_samples)
+        est = PsdmEstimate(0.5, np.eye(2, dtype=complex), np.int64(2), np.int32(4))
+        assert type(est.n) is int and type(est.num_samples) is int
 
     def test_out_of_range_index_rejected(self, tmp_path):
         # a negative index would wrap around to the last row or column

@@ -120,6 +120,8 @@ def test_config_strategy_normalization():
         dict(noise=("iid", "iid")),
         dict(gamma_override=0.0),
         dict(gamma_override=-2.0),
+        dict(gamma_override=math.inf),
+        dict(gamma_override=math.nan),
         dict(p=6.0),
         dict(q=1.0),
         dict(n_grid=(20, 200.7)),
@@ -160,6 +162,13 @@ def test_config_from_json_minimal():
 def test_resolve_gamma_override_passthrough():
     model = build_model(random_dag(3, 1, seed=4), NoiseSpec("iid"), seed=4)
     assert resolve_gamma(model, 0.5, override=0.125) == 0.125
+
+
+@pytest.mark.parametrize("override", [0.0, math.inf, math.nan])
+def test_resolve_gamma_rejects_bad_override(override):
+    model = build_model(random_dag(3, 1, seed=4), NoiseSpec("iid"), seed=4)
+    with pytest.raises(ConfigError):
+        resolve_gamma(model, 0.5, override=override)
 
 
 def test_resolve_gamma_default_is_half_deficit_at_omega():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from spectradag.cpsd import (
+    CpsdValue,
     PsdmEstimate,
     cpsd_deficit,
     cpsd_f,
@@ -100,6 +101,11 @@ class TestParams:
         with pytest.raises(ConfigError):
             ReconstructionParams(q=2, gamma=-1.0, omega=0.5)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ConfigError):
+            ReconstructionParams(q=2, gamma=gamma, omega=0.5)
+
     def test_rejects_bad_q(self):
         with pytest.raises(ConfigError):
             ReconstructionParams(q=-1, gamma=0.1, omega=0.5)
@@ -174,6 +180,25 @@ class TestOrdering:
             est = estimate_psdm(simulate(model, "restart_record", 200, 32, seed=k), w)
             params = ReconstructionParams(q=2, gamma=0.1, omega=w)
             assert order_nodes(est, params) == order_oracle(est.matrix, 2, w)
+
+    def test_ordering_builds_no_cpsd_value(self, monkeypatch):
+        # the scan reads f as arrays, with no per-(node, set) result objects
+        import spectradag.cpsd as cpsd_module
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return CpsdValue(*args, **kwargs)
+
+        monkeypatch.setattr(cpsd_module, "CpsdValue", counting)
+        model = build_model(random_dag(8, 2, seed=2450), AR1, seed=2450)
+        w = float(GRID8[3])
+        phi = exact_psdm(model, w)
+        order, _ = order_nodes(phi, ReconstructionParams(q=2, gamma=0.1, omega=w))
+        assert built == []
+        assert cpsd_module.cpsd_f(phi, order[1], {order[0]}, w).value > 0
+        assert len(built) == 1
 
     def test_topologically_valid_on_population(self):
         for k in range(50):
